@@ -2,8 +2,9 @@
 
 One verb per pipeline procedure.  Every output file embeds the resolved
 configuration and the tool version; writes are atomic (temp file plus
-rename); identical invocations produce byte-identical files, and the
-``--jobs`` worker count never changes a single output byte.
+rename); identical invocations produce byte-identical files.  ``--jobs``
+is still accepted for compatibility and has no effect: every command runs
+in one thread.
 
 Exit codes: 0 success, 1 domain failure (collapse, non-elliptic energy),
 2 usage failure (bad flags, unknown command, malformed descriptor).
@@ -30,7 +31,7 @@ from .potentials import (
     DiscretePotential,
 )
 from .solenoid import TowerStage
-from .util import DiskMemo, atomic_write_text, canonical_json, parallel_map, sha1_hex
+from .util import DiskMemo, atomic_write_text, canonical_json, sha1_hex
 
 # ---------------------------------------------------------------------------
 # descriptor IO
@@ -125,8 +126,8 @@ def _fmt(x) -> str:
 def _config_doc(command: str, params: dict) -> dict:
     """Resolved-config echo embedded in every output.
 
-    Worker count and output path are execution details, not semantics,
-    so they are deliberately absent: parallelism must never change bytes.
+    The ``--jobs`` value and the output path are execution details, not
+    semantics, so they are deliberately absent.
     """
     return {"command": command, "params": params}
 
@@ -189,16 +190,17 @@ def _quantity_value(system, bandset, quantity: str, e: float, samples: int):
     raise UsageError(f"unknown quantity {quantity!r}")
 
 
-def _quantity_rows(system, bandset, quantity, energies, samples, jobs):
-    def one(e):
-        return _quantity_value(system, bandset, quantity, float(e), samples)
-
-    rows = parallel_map(one, [float(e) for e in energies], jobs=jobs)
+def _quantity_rows(system, bandset, quantity, energies, samples):
+    rows = [_quantity_value(system, bandset, quantity, float(e), samples)
+            for e in energies]
     return [r for r in rows if r is not None]
 
 
 def _sweep_cache_key(params: dict) -> str:
-    return canonical_json({"table": "energy-sweep", "params": params})
+    """Memo key of a sweep table: rows from another package version or
+    numerics engine are never served."""
+    return canonical_json({"table": "energy-sweep", "version": __version__,
+                           "engine": cyc.ENGINE, "params": params})
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def _cmd_quantity(args) -> None:
         rows = [tuple(r) for r in cached]
     else:
         rows = _quantity_rows(system, bandset, quantity, energies,
-                              args.samples, args.jobs)
+                              args.samples)
         memo.put(key, [list(r) for r in rows])
     _write_csv(args.out, args.command, params, ("E", "value"), rows)
 
@@ -351,7 +353,6 @@ def _cmd_tower(args) -> None:
 def _cmd_verify(args) -> None:
     verb = args.verify_command
     command = f"verify {verb}"
-    jobs = getattr(args, "jobs", 1)
 
     if verb == "lemma22":
         pot = _require(load_descriptor(args.potential), ContinuumPotential,
@@ -363,7 +364,7 @@ def _cmd_verify(args) -> None:
         }
         rep = labverify.run_lemma22(
             pot, args.M, args.xi, args.C0, args.delta, args.grid,
-            P=args.P, kappa=args.kappa, jobs=jobs,
+            P=args.P, kappa=args.kappa,
         )
         _write_report(args.out, command, params, rep.to_json())
 
@@ -381,7 +382,7 @@ def _cmd_verify(args) -> None:
             fam, args.emin, args.emax, delta=args.delta,
             twist_pre=args.twist_pre, reps=args.reps, slide_n=args.slide_n,
             twist_post=args.twist_post, energy_grid=args.grid,
-            t_points=args.tpoints, C0=args.C0, jobs=jobs,
+            t_points=args.tpoints, C0=args.C0,
         )
         _write_report(args.out, command, params, rep)
 
@@ -412,11 +413,9 @@ def _cmd_verify(args) -> None:
         params = {"potential_sha1": _descriptor_sha1(pot), "n": args.n,
                   "order": args.order, "band_order": args.band_order}
 
-        def band_bound(band):
-            return cyc.band_norm_integral(system, band, args.n,
-                                          order=args.band_order)
-
-        integrals = parallel_map(band_bound, bandset.bands, jobs=jobs)
+        integrals = [cyc.band_norm_integral(system, band, args.n,
+                                            order=args.band_order)
+                     for band in bandset.bands]
         rep = {
             "kind": "spectral-parseval-report",
             "n": args.n,
@@ -468,7 +467,7 @@ def _cmd_verify(args) -> None:
                   "basepoints": args.basepoints}
         rep = labverify.crooked_metric(
             pot, args.eps1, args.C1, args.M, per_band=args.per_band,
-            t_samples=args.tsamples, basepoints=args.basepoints, jobs=jobs,
+            t_samples=args.tsamples, basepoints=args.basepoints,
         )
         _write_report(args.out, command, params, rep)
 
@@ -521,7 +520,7 @@ def _add_out(p):
 
 def _add_jobs(p):
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; never changes output bytes")
+                   help="accepted for compatibility; has no effect")
 
 
 def _add_scan(p, emin=-4.0, emax=12.0):

@@ -35,10 +35,14 @@ from .errors import (
     ValidationError,
 )
 from .potentials import ContinuumPotential, DiscreteFamily, DiscretePotential, Gap
-from .util import canonical_json
+from .util import canonical_json, gauss_nodes
 
+_METHOD = "DOP853"
 _RTOL = 1e-12
 _ATOL = 1e-14
+# identifies the numerics behind every piece propagator; results computed
+# under another engine must not be served from a cache
+ENGINE = f"{_METHOD} rtol={_RTOL!r} atol={_ATOL!r}"
 _CHUNK = 256
 _SMALL_X = 1e-10
 
@@ -81,11 +85,12 @@ def free_block(E, length):
 
     Entire in E: for E > 0 it is the rotation-like block built from
     cos(w L) and sin(w L)/w with w = sqrt(E); negative and complex E
-    follow by analytic continuation.
+    follow by analytic continuation.  E and length broadcast together.
     """
     E = np.asarray(E)
+    length = np.asarray(length)
     c, s = _cos_sinc(E * (length * length))
-    out = np.empty(E.shape + (2, 2), dtype=c.dtype)
+    out = np.empty(c.shape + (2, 2), dtype=c.dtype)
     out[..., 0, 0] = c
     out[..., 0, 1] = -E * length * s
     out[..., 1, 0] = length * s
@@ -117,18 +122,9 @@ class _FifoCache:
                 self._d.popitem(last=False)
         return val
 
-    def clear(self):
-        with self._lock:
-            self._d.clear()
-
 
 _FULL_CACHE = _FifoCache(2048)
 _DENSE_CACHE = _FifoCache(48)
-
-
-def clear_caches():
-    _FULL_CACHE.clear()
-    _DENSE_CACHE.clear()
 
 
 def _integrate_piece(base_fn, shift, timescale, length, E, dense):
@@ -154,7 +150,7 @@ def _integrate_piece(base_fn, shift, timescale, length, E, dense):
         rhs,
         (0.0, length),
         y0,
-        method="DOP853",
+        method=_METHOD,
         rtol=_RTOL,
         atol=_ATOL,
         dense_output=dense,
@@ -234,6 +230,20 @@ def _as_batch(E):
     return arr, False
 
 
+def _times_period_powers(M, ks, in_period):
+    """Stack (K, len(ks), 2, 2) of in_period(i) . M**ks[i].
+
+    Each distinct power is computed once; M**-k inverts M**k.
+    """
+    pows = {k: sl2.power2(M, int(k)) if k > 0 else sl2.inv2(sl2.power2(M, int(-k)))
+            for k in np.unique(ks) if k != 0}
+    out = np.empty((M.shape[0], len(ks), 2, 2), dtype=M.dtype)
+    for i, k in enumerate(ks):
+        A = in_period(i)
+        out[:, i] = A if k == 0 else sl2.mul2(A, pows[k])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # continuum cocycle
 # ---------------------------------------------------------------------------
@@ -309,24 +319,7 @@ class ContinuumCocycle:
 
     def prefix(self, E, t):
         """A(E, 0, t) for scalar t (may exceed the period or be negative)."""
-        Earr, scalar = _as_batch(E)
-
-        def run(block):
-            entries = self._entry_matrices(block)
-            M = entries[-1]
-            T = self.period
-            k = math.floor(t / T)
-            rem = t - k * T
-            A = self._prefix_in_period(block, rem, entries)
-            if k != 0:
-                if k > 0:
-                    A = sl2.mul2(A, sl2.power2(M, k))
-                else:
-                    A = sl2.mul2(A, sl2.inv2(sl2.power2(M, -k)))
-            return A
-
-        out = self._chunked(Earr, run)
-        return out[0] if scalar else out
+        return self.prefix_grid(E, [t])[..., 0, :, :]
 
     def prefix_grid(self, E, t_grid):
         """A(E, 0, t) for an ascending array of times; returns (K, Nt, 2, 2)."""
@@ -335,23 +328,12 @@ class ContinuumCocycle:
 
         def run(block):
             entries = self._entry_matrices(block)
-            M = entries[-1]
             T = self.period
             ks = np.floor(t_grid / T).astype(int)
-            pows = {}
-            for k in np.unique(ks):
-                if k >= 0:
-                    pows[k] = sl2.power2(M, int(k))
-                else:
-                    pows[k] = sl2.inv2(sl2.power2(M, int(-k)))
-            out = np.empty((block.shape[0], t_grid.shape[0], 2, 2),
-                           dtype=entries[0].dtype)
-            for i, t in enumerate(t_grid):
-                A = self._prefix_in_period(block, t - ks[i] * T, entries)
-                if ks[i] != 0:
-                    A = sl2.mul2(A, pows[ks[i]])
-                out[:, i] = A
-            return out
+            return _times_period_powers(
+                entries[-1], ks,
+                lambda i: self._prefix_in_period(block, t_grid[i] - ks[i] * T,
+                                                 entries))
 
         out = self._chunked(Earr, run)
         return out[0] if scalar else out
@@ -460,41 +442,16 @@ class DiscreteCocycle:
 
     def prefix(self, E, j):
         """A(E, 0, j) = S_{j-1} ... S_0 for integer j of either sign."""
-        Earr, scalar = _as_batch(E)
-        j = int(j)
-        n = self.sites
-        table = self._prefix_table(Earr)
-        M = table[n]
-        k, rem = divmod(j, n)
-        A = table[rem]
-        if k != 0:
-            if k > 0:
-                A = sl2.mul2(A, sl2.power2(M, k))
-            else:
-                A = sl2.mul2(A, sl2.inv2(sl2.power2(M, -k)))
-        return A[0] if scalar else A
+        return self.prefix_grid(E, [j])[..., 0, :, :]
 
     def prefix_grid(self, E, sites):
         """A(E, 0, j) for an array of integers; returns (K, len, 2, 2)."""
         Earr, scalar = _as_batch(E)
         sites = np.asarray(sites, dtype=int)
-        n = self.sites
         table = self._prefix_table(Earr)
-        M = table[n]
-        ks = sites // n
-        rems = sites - ks * n
-        pows = {}
-        for k in np.unique(ks):
-            if k >= 0:
-                pows[k] = sl2.power2(M, int(k))
-            else:
-                pows[k] = sl2.inv2(sl2.power2(M, int(-k)))
-        out = np.empty((Earr.shape[0], sites.shape[0], 2, 2), dtype=table.dtype)
-        for i in range(sites.shape[0]):
-            A = table[rems[i]]
-            if ks[i] != 0:
-                A = sl2.mul2(A, pows[ks[i]])
-            out[:, i] = A
+        ks = sites // self.sites
+        rems = sites - ks * self.sites
+        out = _times_period_powers(table[-1], ks, lambda i: table[rems[i]])
         return out[0] if scalar else out
 
     def transfer(self, E, j0, j1):
@@ -528,15 +485,10 @@ class DiscreteCocycle:
         Earr, scalar = _as_batch(E)
         n = self.sites
         K = Earr.shape[0]
+        prefix = self._prefix_table(Earr)
         steps = step_matrices(Earr, np.asarray(self.pot.values))
-        prefix = np.empty((n, K, 2, 2))
         suffix = np.empty((n, K, 2, 2))
-        eye = np.broadcast_to(np.eye(2), (K, 2, 2))
-        cur = eye.copy()
-        for j in range(n):
-            prefix[j] = cur
-            cur = sl2.mul2(steps[:, j], cur)
-        cur = eye.copy()
+        cur = np.broadcast_to(np.eye(2), (K, 2, 2))
         for j in range(n - 1, -1, -1):
             suffix[j] = cur
             cur = sl2.mul2(cur, steps[:, j])
@@ -590,9 +542,6 @@ class BandSet:
                 return ("band", i)
             m = i + 1
         return ("gap", m)
-
-    def total_width(self) -> float:
-        return float(sum(b.width for b in self.bands))
 
     def to_json(self):
         return {
@@ -865,23 +814,17 @@ def density(system, E, bandset: BandSet = None, *, t_samples: int = 512,
             fd_step: float = 1e-6):
     """Density of states dN/dE at energies strictly inside bands.
 
-    Continuum: averages 1/(2 pi Im u(E, t)) over the period, where
-    u(E, t) is the elliptic fixed point of the monodromy based at t.
+    Continuum: fixed_point_density, one energy at a time.
     Discrete: finite difference of the rotation angle.
     """
     Earr, scalar = _as_batch(E)
     out = np.empty(Earr.shape[0])
     if system.kind == "continuum":
-        T = system.period
-        grid = np.linspace(0.0, T, t_samples, endpoint=False)
+        # one energy per call keeps the piece caches keyed on single energies
         for i, e in enumerate(Earr):
-            M = system.monodromy(np.array([float(e)]))
-            u = sl2.fixed_points2(M)[0]
-            if not np.isfinite(u.imag) or u.imag <= 0:
+            out[i] = fixed_point_density(system, np.array([float(e)]), t_samples)[0]
+            if not np.isfinite(out[i]):
                 raise NotEllipticError(f"energy {e!r} is not inside a band")
-            pref = system.prefix_grid(np.array([float(e)]), grid)[0]
-            us = sl2.moebius2(pref, np.full(grid.shape, u))
-            out[i] = float(np.mean(1.0 / us.imag)) / (2.0 * np.pi)
     else:
         n = system.sites
         for i, e in enumerate(Earr):
@@ -896,6 +839,20 @@ def density(system, E, bandset: BandSet = None, *, t_samples: int = 512,
                 dth += 1.0
             out[i] = 2.0 * abs(dth / (2.0 * h)) / n
     return float(out[0]) if scalar else out
+
+
+def fixed_point_density(system, E, t_samples: int = 512):
+    """Continuum dN/dE over a 1-d energy batch; nan outside the bands.
+
+    Averages 1/(2 pi Im u(E, t)) over t_samples times in the period, where
+    u(E, t) is the elliptic fixed point of the monodromy based at t.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = sl2.fixed_points2(system.monodromy(E))
+        grid = np.linspace(0.0, system.period, t_samples, endpoint=False)
+        pref = system.prefix_grid(E, grid)
+        us = sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
+        return np.mean(1.0 / us.imag, axis=1) / (2.0 * np.pi)
 
 
 def lyapunov(system, E):
@@ -947,8 +904,7 @@ def growth_value(system, E: float, t0: float = 0.0, samples: int = 2048) -> Grow
     us = sl2.moebius2(pref, np.full(grid.shape, u0))
     dists = sl2.hyp_dist2(us, np.full(grid.shape, 1j))
     # base distance at t0 via its own prefix (t0 need not be on the grid)
-    A0 = system.prefix(Earr, t0)[0] if system.kind == "discrete" else \
-        system.prefix(Earr, float(t0))[0]
+    A0 = system.prefix(Earr, t0)[0]
     ut0 = sl2.moebius2(A0[None], np.array([u0]))[0]
     d0 = float(sl2.hyp_dist2(np.array([ut0]), np.array([1j]))[0])
     k = int(np.argmax(dists))
@@ -1032,14 +988,9 @@ def _edge_quad_nodes(band: Band, order: int):
     On each half the substitution E = edge +- x^2 regularizes the
     inverse-sqrt blowup of band-edge densities; returns (E_nodes, dE_weights).
     """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(order)
     Es, Ws = [], []
     for edge, mid, s in _band_halves(band):
-        half = math.sqrt(abs(mid - edge))
-        xs = 0.5 * half * (x + 1.0)
-        ws = 0.5 * half * w
+        xs, ws = gauss_nodes(0.0, math.sqrt(abs(mid - edge)), order)
         Es.append(edge + s * xs * xs)
         Ws.append(ws * 2.0 * xs)
     return np.concatenate(Es), np.concatenate(Ws)
@@ -1070,15 +1021,8 @@ def band_norm_integral(system, band: Band, n, order: int = 64) -> float:
     A_n is the prefix transfer to time/site n; the integrand is
     sqrt(frob^2 + 2) for unit-determinant matrices.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(order)
-    Es = 0.5 * (band.hi - band.lo) * (x + 1.0) + band.lo
-    Ws = 0.5 * (band.hi - band.lo) * w
-    if system.kind == "discrete":
-        pref = system.prefix_grid(Es, np.array([int(n)]))[:, 0]
-    else:
-        pref = system.prefix_grid(Es, np.array([float(n)]))[:, 0]
+    Es, Ws = gauss_nodes(band.lo, band.hi, order)
+    pref = system.prefix(Es, n)
     f2 = np.einsum("kij,kij->k", pref, pref)
     vals = np.sqrt(f2 + 2.0)
     return float(np.sum(vals * Ws)) / (4.0 * math.pi)
@@ -1158,16 +1102,12 @@ def uniformness_check(system, bandset: BandSet, level: float, *,
                     cuts.append(brentq(excess_sign, xs[i], xs[i + 1],
                                        xtol=1e-12, maxiter=200))
             cuts.append(half)
-            from numpy.polynomial.legendre import leggauss
-
-            gx, gw = leggauss(order)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 if b <= a:
                     continue
                 m = 0.5 * (a + b)
                 above = excess_sign(m) >= 0.0
-                nodes = 0.5 * (b - a) * (gx + 1.0) + a
-                wts = 0.5 * (b - a) * gw
+                nodes, wts = gauss_nodes(a, b, order)
                 mass = float(sum(g(x) * w for x, w in zip(nodes, wts)))
                 total_mass += mass
                 if above:

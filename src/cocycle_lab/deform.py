@@ -64,7 +64,12 @@ class PaddingSpec:
         if self.N < 1 or self.n < 1:
             raise ValidationError("padding block counts must be positive")
 
+    def pad_length(self, t):
+        """Pad length delta sin^(2N)(pi t) after a block at phase t."""
+        return self.delta * np.sin(np.pi * np.asarray(t, dtype=float)) ** (2 * self.N)
+
     def pad_lengths(self) -> np.ndarray:
+        """pad_length at the 2n block phases j / 2n, rounded as pi j / 2n."""
         j = np.arange(2 * self.n)
         return self.delta * np.sin(np.pi * j / (2.0 * self.n)) ** (2 * self.N)
 
@@ -129,18 +134,24 @@ def gap_propagator(E: float, length: float) -> np.ndarray:
     return D @ R @ np.linalg.inv(D)
 
 
+def padding_block(E, pad, MN) -> np.ndarray:
+    """Padding block [free propagator over the pad] . MN, shape (..., 2, 2).
+
+    MN is the block of N base monodromies; E and pad broadcast against
+    its stack, and a scalar pad of zero returns MN itself.
+    """
+    if np.ndim(pad) == 0 and pad == 0.0:
+        return MN
+    return sl2.mul2(free_block(E, pad), MN)
+
+
 def padded_block_matrix(base: ContinuumCocycle, E: float, spec: PaddingSpec,
                         t: float) -> np.ndarray:
     """One padding block G(E, t) = [pad rotation at phase t] [M(E)^N]."""
     if not E > 0.0:
         raise DomainError("padding blocks need E > 0")
-    M = base.monodromy(E)
-    MN = np.linalg.matrix_power(M, spec.N)
-    alpha = spec.delta * math.sqrt(E) * math.sin(math.pi * t) ** (2 * spec.N)
-    D = sl2.energy_diag(E).to_array()
-    R = np.array([[math.cos(alpha), -math.sin(alpha)],
-                  [math.sin(alpha), math.cos(alpha)]])
-    return D @ R @ np.linalg.inv(D) @ MN
+    MN = sl2.power2(base.monodromy(E), spec.N)
+    return padding_block(E, spec.pad_length(t), MN)
 
 
 def padded_monodromy_formula(base: ContinuumCocycle, E: float,

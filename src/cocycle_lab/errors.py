@@ -21,10 +21,6 @@ class ValidationError(CocycleLabError):
     """A descriptor or config violates a structural invariant."""
 
 
-class OverlapError(ValidationError):
-    """Padding would overwrite samples outside the declared zero window."""
-
-
 class ProjectionError(ValidationError):
     """Two tower stages do not sit in one covering chain."""
 

@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .potentials import ContinuumPotential, DiscreteFamily
-from .util import parallel_map
 
 __all__ = [
     "Lemma22Report",
@@ -173,11 +172,6 @@ def _choose_block_count(theta, start, cap, fill=0.01, quota=0.99):
         count *= 2
 
 
-def _pad_lengths(delta, big_n, n):
-    j = np.arange(2 * n, dtype=float)
-    return delta * np.sin(np.pi * j / (2.0 * n)) ** (2 * big_n)
-
-
 def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
     """One padding step on raw monodromies, streaming in block index.
 
@@ -188,20 +182,13 @@ def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
     block indices to the partial products B_m (for time averaging).
     """
     count = A.shape[0]
-    pads = _pad_lengths(delta, big_n, n)
+    pads = deform.PaddingSpec(delta, big_n, n).pad_lengths()
     apow = sl2.power2(A, big_n)
     alive = np.ones(count, dtype=bool)
-
-    def factor(m):
-        if pads[m] != 0.0:
-            gap = cyc.free_block(E, pads[m]).reshape(count, 2, 2)
-            return sl2.mul2(gap, apow)
-        return apow
-
     acc = _batch_eye(count)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for m in range(2 * n):
-            fac = factor(m)
+            fac = deform.padding_block(E, pads[m], apow)
             alive &= np.abs(sl2.tr2(fac)) < 2.0
             acc = sl2.renorm2(sl2.mul2(fac, acc))
         a_next = acc
@@ -220,7 +207,7 @@ def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
                 kept[m] = acc
             um = sl2.moebius2(acc, safe_u)
             dmax = np.maximum(dmax, sl2.hyp_dist2(um, base_u))
-            acc = sl2.renorm2(sl2.mul2(factor(m), acc))
+            acc = sl2.renorm2(sl2.mul2(deform.padding_block(E, pads[m], apow), acc))
     epsilon = np.where(alive, 2.0 * np.sinh(dmax / 2.0), 0.0)
     return a_next, u_next, alive, epsilon, kept
 
@@ -273,7 +260,6 @@ def run_lemma22(
     gamma_levels=(0.1, 0.2, 0.25, 0.4),
     frac_samples: int = 8,
     avg_blocks: int = 64,
-    jobs: int = 1,
 ) -> Lemma22Report:
     """Iterated padding cascade on raw monodromies over an energy grid.
 
@@ -294,12 +280,9 @@ def run_lemma22(
     system = cyc.ContinuumCocycle(pot)
     period0 = system.period
     energies = M * (np.arange(energy_grid) + 0.5) / energy_grid
-
-    def _mono(chunk):
-        return system.monodromy(np.asarray(chunk))
-
+    # DOP853 step control runs per energy batch, so the batches fix the bytes
     chunks = np.array_split(energies, max(1, energy_grid // 256))
-    A = np.concatenate(parallel_map(_mono, list(chunks), jobs=jobs), axis=0)
+    A = np.concatenate([system.monodromy(c) for c in chunks], axis=0)
     elliptic = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
     if not np.any(elliptic):
         raise PipelineCollapseError(0, "no elliptic energies on the grid")
@@ -307,14 +290,8 @@ def run_lemma22(
     u = np.where(elliptic, sl2.fixed_points2(A), 1j)
 
     frac = (np.arange(frac_samples) + 0.5) / frac_samples
-
-    def _prefixes(chunk_idx):
-        sub = energies[chunk_idx]
-        return system.prefix_grid(sub, frac * period0)
-
-    idx_chunks = np.array_split(np.arange(energy_grid), max(1, energy_grid // 256))
     prefix_frac = np.concatenate(
-        parallel_map(_prefixes, list(idx_chunks), jobs=jobs), axis=0
+        [system.prefix_grid(c, frac * period0) for c in chunks], axis=0
     )
 
     base_avg = np.zeros(energy_grid)
@@ -458,7 +435,6 @@ def run_asd12(
     t_points: int = 24,
     C0: float = 4.0,
     u0_family: DiscreteFamily | None = None,
-    jobs: int = 1,
 ) -> dict:
     """Twist, repeat, slide, twist composite with growth bookkeeping.
 
@@ -499,7 +475,7 @@ def run_asd12(
             u_0 = np.where(ell0, u_0, np.nan * (1 + 1j))
         return norms, bnorms, u_t, u_0, ell & ell0
 
-    stats = parallel_map(_slice_stats, list(ts), jobs=jobs)
+    stats = [_slice_stats(t) for t in ts]
     sup_log = np.stack([np.log(np.max(s[0], axis=0)) for s in stats])
     u_grid = np.stack([s[2] for s in stats])
     u0_grid = np.stack([s[3] for s in stats])
@@ -733,19 +709,12 @@ def random_polar_matrices(count: int, lam_max: float, seed: int):
     return [out[i] for i in range(count)]
 
 
-def _rot_mat(turns: float) -> np.ndarray:
-    """Plain 2x2 rotation array by ``turns`` turns."""
-    ang = 2.0 * math.pi * turns
-    c, s = math.cos(ang), math.sin(ang)
-    return np.array([[c, -s], [s, c]])
-
-
 def _sandwich_product(lambdas, betas, theta, s):
     """Product of diag(e^{s l_j}, e^{-s l_j}) R_{beta_j} R_theta factors."""
     out = _I2.copy()
     for lam, beta in zip(lambdas, betas):
         d = np.diag([math.exp(s * lam), math.exp(-s * lam)])
-        out = d @ _rot_mat(beta + theta) @ out
+        out = d @ sl2.rotation2(beta + theta) @ out
     return out
 
 
@@ -769,17 +738,17 @@ def carleson_b1(lambdas, betas, theta: float, s: float = 1e-3,
         raise ValidationError("stretch rates must be nonnegative")
     count = len(lambdas)
     alpha_n = sum(betas)
-    b0 = _rot_mat(alpha_n + count * theta)
+    b0 = sl2.rotation2(alpha_n + count * theta)
     lam_flip = np.diag([1.0, -1.0])
     prefix = _I2.copy()
     b1 = np.zeros((2, 2))
     prefixes = []
     for j in range(count):
         prefixes.append(prefix.copy())
-        prefix = _rot_mat(betas[j] + theta) @ prefix
+        prefix = sl2.rotation2(betas[j] + theta) @ prefix
     suffix = _I2.copy()
     for j in range(count - 1, -1, -1):
-        rot_j = _rot_mat(betas[j] + theta)
+        rot_j = sl2.rotation2(betas[j] + theta)
         b1 = b1 + lambdas[j] * (suffix @ lam_flip @ rot_j @ prefixes[j])
         suffix = suffix @ rot_j
     a_s = _sandwich_product(lambdas, betas, theta, s)
@@ -827,7 +796,6 @@ def crooked_metric(
     per_band: int = 48,
     t_samples: int = 256,
     basepoints: int = 32,
-    jobs: int = 1,
 ) -> dict:
     """Measure of the spectrum below M where growth clears C1 robustly.
 
@@ -867,8 +835,7 @@ def crooked_metric(
         frac = float(np.mean(base <= sup_d - 2.0 * math.log(C1) + 1e-12))
         return frac > 1.0 - eps1
 
-    passing = parallel_map(_one, [float(e) for e in energies], jobs=jobs)
-    passing = np.asarray(passing, dtype=bool)
+    passing = np.array([_one(float(e)) for e in energies], dtype=bool)
     total = float(np.sum(weights))
     gamma = float(np.sum(weights[passing]))
     return {
@@ -904,15 +871,8 @@ def _band_ids_integral(system, band, m_cap, nodes, t_samples=512):
         ee = lo + span * uu * uu
         jac = 2.0 * span * uu / nodes
     if system.kind == "continuum":
-        # batched fixed-point density: same formula as the per-energy
-        # routine, vectorized so fine quadrature stays desk scale
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mono = system.monodromy(ee)
-            u = sl2.fixed_points2(mono)
-            grid = np.linspace(0.0, system.period, t_samples, endpoint=False)
-            pref = system.prefix_grid(ee, grid)
-            us = sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
-            dens = np.mean(1.0 / us.imag, axis=1) / (2.0 * np.pi)
+        # batched over the nodes so fine quadrature stays desk scale
+        dens = cyc.fixed_point_density(system, ee, t_samples)
     else:
         # clamp the rotation-angle difference step inside the band so
         # near-edge nodes never straddle a band edge

@@ -9,7 +9,6 @@ and lets transfer matrices cross them with closed-form propagators.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -344,11 +343,6 @@ def potential_from_json(d):
     if kind == "circle-potential":
         return CirclePotential(int(d["period"]), scalar_from_json(d["expr"]))
     raise ValidationError(f"unknown descriptor kind {kind!r}")
-
-
-def load_potential(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return potential_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

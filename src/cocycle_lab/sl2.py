@@ -1,8 +1,9 @@
 """SL(2,R) matrices acting on the upper half plane.
 
-Scalar types (Mat2, HPoint, Turns) form the public surface; the _arr
-helpers operate on numpy stacks of shape (..., 2, 2) and are what the
-energy-grid pipelines call.
+The stacked kernels (the ``*2`` functions) operate on numpy stacks of
+shape (..., 2, 2) and are what the energy-grid pipelines call.  The scalar
+types (Mat2, HPoint, Turns) and functions are thin wrappers that validate
+their input and compute through those kernels.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ ELLIPTIC_MARGIN = 1e-12
 
 _DET_TOL = 1e-9
 _RENORM_LIMIT = 1e-3
+# power2 renormalizes a product only while |ad| + |bc| stays below this
+_RENORM_SPAN = 1e3
 
 
 def _require_finite(*vals):
@@ -61,10 +64,6 @@ class HPoint:
     @property
     def z(self) -> complex:
         return complex(self.re, self.im)
-
-    @staticmethod
-    def from_complex(z: complex) -> "HPoint":
-        return HPoint(z.real, z.imag)
 
 
 @dataclass(frozen=True)
@@ -122,24 +121,15 @@ class Mat2:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def frob2(self) -> float:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
     def norm(self) -> float:
         """Largest singular value; for det 1 the smallest is its inverse."""
-        s = max(self.frob2(), 2.0)
-        return math.sqrt(0.5 * (s + math.sqrt(max(s * s - 4.0, 0.0))))
-
-    def is_elliptic(self) -> bool:
-        return abs(self.trace) < 2.0 - ELLIPTIC_MARGIN
+        return float(norms2(self.to_array()))
 
 
 def rotation(theta) -> Mat2:
     """Rotation by ``theta`` turns: conjugacy model for elliptic matrices."""
     t = float(theta) if not isinstance(theta, Turns) else theta.value
-    ang = 2.0 * math.pi * t
-    c, s = math.cos(ang), math.sin(ang)
-    return Mat2(c, -s, s, c)
+    return Mat2.from_array(rotation2(t))
 
 
 def energy_diag(E: float) -> Mat2:
@@ -156,16 +146,12 @@ def moebius(A: Mat2, z) -> HPoint:
     if zz.imag <= 0.0:
         raise DomainError("moebius argument must lie in the upper half plane")
     den = A.c * zz + A.d
-    d2 = den.real * den.real + den.imag * den.imag
-    if d2 < 1e-300:
+    if den.real * den.real + den.imag * den.imag < 1e-300:
         raise NumericOverflowError("moebius image out of range (|cz+d| underflow)")
-    num = A.a * zz + A.b
-    w = num * den.conjugate() / d2
-    # imaginary part via the exact isometry identity, immune to cancellation
-    im = zz.imag * A.det / d2
-    if not (math.isfinite(w.real) and math.isfinite(im)) or im <= 0.0:
+    w = complex(moebius2(A.to_array(), zz))
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)) or w.imag <= 0.0:
         raise NumericOverflowError("moebius image out of range")
-    return HPoint(w.real, im)
+    return HPoint(w.real, w.imag)
 
 
 def _require_elliptic(A: Mat2):
@@ -179,14 +165,11 @@ def fixed_point(A: Mat2) -> HPoint:
     Root of c z^2 + (d - a) z - b = 0 with positive imaginary part.
     """
     _require_elliptic(A)
-    tr = A.trace
-    disc = 4.0 - tr * tr
-    # c = 0 with det 1 and |tr| < 2 is impossible, so the quadratic is genuine
+    # c = 0 with |tr| < 2 needs a determinant below 1, inside its tolerance
     if A.c == 0.0:
         raise NotEllipticError("degenerate fixed-point equation (c = 0)")
-    re = (A.a - A.d) / (2.0 * A.c)
-    im = math.sqrt(disc) / (2.0 * abs(A.c))
-    return HPoint(re, im)
+    u = complex(fixed_points2(A.to_array()))
+    return HPoint(u.real, u.imag)
 
 
 def rotation_angle(A: Mat2) -> Turns:
@@ -197,24 +180,17 @@ def rotation_angle(A: Mat2) -> Turns:
     oriented first column of that rotation.
     """
     u = fixed_point(A)
-    x, y = u.re, u.im
-    cos_part = A.a - x * A.c
-    sin_part = y * A.c
-    ang = math.atan2(sin_part, cos_part) / (2.0 * math.pi)
-    return Turns(ang)
+    return Turns(float(rotation_angles2(A.to_array(), u.z)))
 
 
 def conjugator(A: Mat2) -> Mat2:
     """Upper-triangular frame B with B . u(A) = i and B A B^-1 a rotation."""
-    u = fixed_point(A)
-    s = 1.0 / math.sqrt(u.im)
-    return Mat2(s, -u.re * s, 0.0, u.im * s)
+    return frame_for_point(fixed_point(A))
 
 
 def frame_for_point(u: HPoint) -> Mat2:
-    """The same upper-triangular frame, from a point instead of a matrix."""
-    s = 1.0 / math.sqrt(u.im)
-    return Mat2(s, -u.re * s, 0.0, u.im * s)
+    """The upper-triangular frame sending the point u to i."""
+    return Mat2.from_array(frames2(np.complex128(u.z)))
 
 
 def hyp_dist(z, w) -> float:
@@ -227,25 +203,7 @@ def hyp_dist(z, w) -> float:
     ww = w.z if isinstance(w, HPoint) else complex(w)
     if zz.imag <= 0.0 or ww.imag <= 0.0:
         raise DomainError("hyp_dist arguments must lie in the upper half plane")
-    q = abs(zz - ww) / (2.0 * math.sqrt(zz.imag * ww.imag))
-    return 2.0 * math.asinh(q)
-
-
-def sl2_power(A: Mat2, k: int) -> Mat2:
-    """A**k by binary powering with determinant renormalization."""
-    if k < 0:
-        return sl2_power(A.inv(), -k)
-    out = np.eye(2)
-    base = A.to_array()
-    kk = k
-    while kk:
-        if kk & 1:
-            out = out @ base
-            out /= math.sqrt(abs(np.linalg.det(out)))
-        base = base @ base
-        base /= math.sqrt(abs(np.linalg.det(base)))
-        kk >>= 1
-    return Mat2.from_array(out)
+    return float(hyp_dist2(zz, ww))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +244,31 @@ def renorm2(A: np.ndarray) -> np.ndarray:
     return A / np.sqrt(np.abs(det2(A)))[..., None, None]
 
 
+def _renorm_accurate(A: np.ndarray) -> np.ndarray:
+    """renorm2 on the matrices whose determinant is computed accurately.
+
+    ad - bc carries a rounding error of about 1.1e-16 (|ad| + |bc|); where
+    that bound is not small against 1 (large hyperbolic products) the
+    computed determinant is noise, and those matrices are left unscaled.
+    """
+    ad = A[..., 0, 0] * A[..., 1, 1]
+    bc = A[..., 0, 1] * A[..., 1, 0]
+    accurate = np.abs(ad) + np.abs(bc) <= _RENORM_SPAN
+    return A / np.where(accurate, np.sqrt(np.abs(ad - bc)), 1.0)[..., None, None]
+
+
 def power2(A: np.ndarray, k: int) -> np.ndarray:
     """Elementwise A**k over a stack, binary powering with renormalization."""
     if k < 0:
         return power2(inv2(A), -k)
-    shape = A.shape
-    out = np.broadcast_to(np.eye(2), shape).copy()
-    base = A.copy()
-    kk = k
-    while kk:
-        if kk & 1:
-            out = renorm2(mul2(out, base))
-        base = renorm2(mul2(base, base))
-        kk >>= 1
+    out = np.broadcast_to(np.eye(2), A.shape).copy()
+    base = A
+    while k:
+        if k & 1:
+            out = _renorm_accurate(mul2(out, base))
+        k >>= 1
+        if k:
+            base = _renorm_accurate(mul2(base, base))
     return out
 
 
@@ -354,6 +324,7 @@ def moebius2(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     d2 = den.real * den.real + den.imag * den.imag
     num = A[..., 0, 0] * z + A[..., 0, 1]
     w = num * den.conjugate() / d2
+    # imaginary part via the exact isometry identity, immune to cancellation
     return w.real + 1j * (z.imag * det2(A) / d2)
 
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from . import sl2
 from .cocycle import ContinuumCocycle
+from .deform import PaddingSpec, padding_block
 from .errors import (
     DomainError,
     NormalFormBreakdownError,
@@ -107,19 +107,12 @@ def padded_block_family(base: ContinuumCocycle, E: float, delta: float,
     """
     if not E > 0.0:
         raise DomainError("padding blocks need E > 0")
-    M = base.monodromy(E)
-    MN = np.linalg.matrix_power(M, N)
-    D = sl2.energy_diag(E).to_array()
-    Dinv = np.linalg.inv(D)
-    root = math.sqrt(E)
-
-    tail = Dinv @ MN
+    MN = sl2.power2(base.monodromy(E), N)
+    # the block count n does not enter a single block
+    spec = PaddingSpec(delta=delta, N=N, n=1)
 
     def fn(t):
-        t = np.asarray(t, dtype=float)
-        alpha_rad = delta * root * np.sin(np.pi * t) ** (2 * N)
-        R = sl2.rotation2(alpha_rad / (2.0 * np.pi))
-        return np.einsum("ab,...bc,cd->...ad", D, R, tail)
+        return padding_block(E, spec.pad_length(t), MN)
 
     return SlowFamily(fn=fn)
 
@@ -241,11 +234,6 @@ class NormalFormLadder:
         d = (th1 - th0 + 0.5) % 1.0 - 0.5
         return float(np.max(np.abs(d)))
 
-    def tilde_theta(self, m: int = 0) -> np.ndarray:
-        """Unwrapped rotation angles of stage m along the base grid, turns."""
-        th = sl2.rotation_angles2(self.stage(m))
-        return np.unwrap(th, period=1.0)
-
     def winding(self, m: int = 0) -> int:
         th = sl2.rotation_angles2(self.stage(m))
         closed = np.append(th, th[0])
@@ -351,7 +339,12 @@ def equidistribution_ks(values: np.ndarray) -> float:
         raise ValidationError("empty sample")
     if np.any(values < 0.0) or np.any(values >= 1.0):
         raise ValidationError("sample must live in [0, 1)")
-    return float(stats.kstest(values, "uniform").statistic)
+    # sup |F_n - F| is attained at a sample, just before or just after a jump
+    x = np.sort(values, axis=None)
+    n = x.size
+    d_plus = np.max(np.arange(1.0, n + 1) / n - x)
+    d_minus = np.max(x - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
 
 
 def fixed_point_stability(A: sl2.Mat2, threshold: float = 1e-3) -> float:

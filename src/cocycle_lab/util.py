@@ -1,5 +1,5 @@
 """Shared utilities: canonical JSON, atomic file writes, quadrature nodes,
-deterministic parallel mapping, and an optional on-disk memo cache.
+and an optional on-disk memo cache.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,29 +47,6 @@ def gauss_nodes(a: float, b: float, order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def parallel_map(fn, items, jobs: int = 1, chunk: int = 16):
-    """Map fn over items, optionally threaded, preserving order exactly.
-
-    Work is split into contiguous chunks; each worker returns the list of
-    per-item results for its chunk and the chunks are concatenated in
-    order, so the output is byte-identical for any job count.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-
-    def run(block):
-        return [fn(x) for x in block]
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(run, chunks))
-    out = []
-    for p in parts:
-        out.extend(p)
-    return out
 
 
 class DiskMemo:

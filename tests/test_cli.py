@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +206,42 @@ def test_cache_reuses_and_preserves_bytes(tmp_path, monkeypatch):
     second = tmp_path / "second.csv"
     assert dispatch(argv + ["--out", str(second)]) == 0
     assert cold.read_bytes() == first.read_bytes() == second.read_bytes()
+
+
+def test_cache_key_tracks_version_and_engine(tmp_path, monkeypatch):
+    argv = ["sweep", "--potential", desc("cos2.json"), "--quantity", "ids",
+            "--emin", "-2.5", "--emax", "2.5", "--count", "30"]
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("COCYCLE_LAB_CACHE", str(cache))
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert dispatch(argv + ["--out", str(cold)]) == 0
+    assert dispatch(argv + ["--out", str(warm)]) == 0
+    assert len(os.listdir(cache)) == 1
+    assert cold.read_bytes() == warm.read_bytes()
+    # rows stored under another engine or version are never served
+    monkeypatch.setattr(cli.cyc, "ENGINE", cli.cyc.ENGINE + " (changed)")
+    engine = tmp_path / "engine.csv"
+    assert dispatch(argv + ["--out", str(engine)]) == 0
+    assert len(os.listdir(cache)) == 2
+    assert engine.read_bytes() == cold.read_bytes()
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + "+changed")
+    assert dispatch(argv + ["--out", str(tmp_path / "version.csv")]) == 0
+    assert len(os.listdir(cache)) == 3
+
+
+def test_import_loads_no_stats_or_thread_pool():
+    # numpy.testing, which scipy loads, imports concurrent.futures itself,
+    # so only the modules the package adds on top of its dependencies count
+    code = ("import sys, numpy, scipy.integrate, scipy.optimize\n"
+            "before = set(sys.modules)\n"
+            "import cocycle_lab.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "cocycle_lab.cli" in added
+    assert [m for m in added if m.startswith(("scipy.stats", "concurrent"))] == []
 
 
 def test_growth_csv_skips_gap_energies(tmp_path):

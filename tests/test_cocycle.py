@@ -98,6 +98,14 @@ class TestFreeBlock:
         a = free_block(E, 0.6) @ free_block(E, 0.9)
         assert np.allclose(a, free_block(E, 1.5), atol=1e-14)
 
+    def test_array_of_lengths_matches_scalar_calls(self):
+        lengths = np.array([0.0, 0.05, 0.4, 1.3, 2.9])
+        for E in (np.array([-2.0, 0.0, 0.7, 9.5]), 1.3, np.array([0.4 + 1e-3j])):
+            got = free_block(np.asarray(E)[..., None], lengths)
+            want = np.stack([free_block(E, float(L)) for L in lengths], axis=-3)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
 
 class TestContinuumTransfer:
     def test_free_monodromy_trace(self):
@@ -180,6 +188,19 @@ class TestContinuumTransfer:
         for i, t in enumerate(ts):
             assert np.allclose(grid[:, i], sysm.prefix(E, float(t)), atol=1e-10)
 
+    def test_prefix_many_periods_hyperbolic(self):
+        # entries grow to ~1e8 and beyond, where ad - bc is rounding noise;
+        # the direct period-by-period product is the reference
+        sysm = ContinuumCocycle(smooth_bump_potential(2, 1, 0.5))
+        for E, t in ((-1.0, 16.0), (-10.0, 8.0), (-1.0, 23.3)):
+            k = int(t // sysm.period)
+            M = sysm.monodromy(E)
+            want = sysm.prefix(E, t - k * sysm.period)
+            for _ in range(k):
+                want = want @ M
+            got = sysm.prefix(E, t)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestDiscreteTransfer:
     def test_step_product_by_hand(self):
@@ -202,6 +223,15 @@ class TestDiscreteTransfer:
         E = np.array([0.7])
         for j in (0, 1, 2, 5, 8):
             assert np.allclose(sysm.prefix(E, j), sysm.transfer(E, 0, j), atol=1e-12)
+
+    def test_prefix_many_periods_hyperbolic(self):
+        # outside the spectrum the powers grow past the accurate range of
+        # ad - bc; the direct step-by-step product is the reference
+        sysm = alt_cocycle()
+        for E, j in ((3.5, 41), (-2.6, 60), (5.0, 33)):
+            want = sysm.transfer(E, 0, j)
+            got = sysm.prefix(E, j)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_negative_direction(self):
         sysm = alt_cocycle()

@@ -28,6 +28,7 @@ from cocycle_lab.deform import (
     pad_simple,
     padded_block_matrix,
     padded_monodromy_formula,
+    padding_block,
     proper_svd,
     repeat_family,
     sampling_family,
@@ -155,6 +156,16 @@ def test_gap_propagator_matches_free_block():
         gap_propagator(-1.0, 0.5)
     with pytest.raises(DomainError):
         gap_propagator(0.0, 0.5)
+
+
+def test_padding_block_matches_gap_propagator():
+    base = ContinuumCocycle(bump_pot())
+    for E, N in ((0.7, 1), (2.0, 3), (4.4, 8)):
+        MN = sl2.power2(base.monodromy(E), N)
+        assert padding_block(E, 0.0, MN) is MN
+        for L in (0.03, 0.45, 1.2):
+            want = gap_propagator(E, L) @ MN
+            assert np.allclose(padding_block(E, L, MN), want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,13 @@ def test_cascade_collapse_reports_step_index():
     assert exc.value.step in (0, 1)
 
 
-def test_cascade_jobs_do_not_change_report():
+def test_cascade_report_is_deterministic():
     kw = dict(M=6.0, xi=0.2, C0=4.0, delta=0.05, energy_grid=200, P=1,
               kappa=0.02)
-    rep1 = run_lemma22(bump_pot(), jobs=1, **kw)
-    rep4 = run_lemma22(bump_pot(), jobs=4, **kw)
+    rep1 = run_lemma22(bump_pot(), **kw)
+    rep2 = run_lemma22(bump_pot(), **kw)
     assert json.dumps(rep1.to_json(), sort_keys=True) == \
-        json.dumps(rep4.to_json(), sort_keys=True)
+        json.dumps(rep2.to_json(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +158,11 @@ def test_composite_collapse_on_empty_window():
                   energy_grid=40, t_points=6)
 
 
-def test_composite_jobs_do_not_change_report():
+def test_composite_report_is_deterministic():
     kw = dict(delta=0.05, energy_grid=200, t_points=8)
-    rep1 = run_asd12(cos_family(lam=0.2, n1=2), 0.44, 0.60, jobs=1, **kw)
-    rep8 = run_asd12(cos_family(lam=0.2, n1=2), 0.44, 0.60, jobs=8, **kw)
-    assert json.dumps(rep1, sort_keys=True) == json.dumps(rep8, sort_keys=True)
+    rep1 = run_asd12(cos_family(lam=0.2, n1=2), 0.44, 0.60, **kw)
+    rep2 = run_asd12(cos_family(lam=0.2, n1=2), 0.44, 0.60, **kw)
+    assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from cocycle_lab.sl2 import (
     moebius,
     rotation,
     rotation_angle,
-    sl2_power,
 )
 
 
@@ -189,7 +188,7 @@ class TestProperties:
     def test_power_matches_repeated_product(self, k, re, im, theta):
         A = elliptic_from(re, im, theta)
         direct = np.linalg.matrix_power(A.to_array(), k)
-        np.testing.assert_allclose(sl2_power(A, k).to_array(), direct, atol=1e-9)
+        np.testing.assert_allclose(sl2.power2(A.to_array(), k), direct, atol=1e-9)
 
 
 class TestBatchHelpers:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cocycle_lab import sl2
 from cocycle_lab.cocycle import ContinuumCocycle, DiscreteCocycle
@@ -193,6 +194,8 @@ def test_phase_proxy_and_ks():
     assert equidistribution_ks(u * u) > 0.2
     with pytest.raises(ValidationError):
         equidistribution_ks(np.array([1.5]))
+    for sample in (rng.uniform(0.0, 1.0, 250), u[:7] ** 3, np.array([0.5])):
+        assert equidistribution_ks(sample) == stats.kstest(sample, "uniform").statistic
     with pytest.raises(ValidationError):
         equidistribution_ks(np.array([]))
 
