@@ -7,24 +7,27 @@ Both cocycle classes expose the same surface: prefix transfer from time 0,
 transfer between times, period monodromy from any base point, trace and
 trace derivative over energy arrays.
 
-Zero stretches of a continuum potential are crossed with the closed-form
-propagator built from cos(sqrt(E) L) and sin(sqrt(E) L)/sqrt(E), which are
-entire in E, so traces extend to complex energy and derivatives can be taken
-by complex step.  Nonzero pieces are integrated once per energy batch with a
-dense high-order solution that is cached and shared between all potentials
-containing the same piece.
+Every continuum propagator is a product of closed-form exponentials
+c I + s Omega of traceless matrices, with (c, s) = (cos w, sin w / w) entire
+in w^2, so traces extend to complex energy and derivatives are taken by
+complex step.  Zero stretches of the potential are crossed in one exact
+step (free_block).  Nonzero pieces are crossed by fourth-order two-node
+Gauss-Magnus steps (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 2009): for this generator the commutator term does not
+depend on E, so V is sampled once per piece, each step has determinant
+one, and a whole energy batch advances through all steps of a piece in a
+few vectorized products.  A cocycle fixes the step count and potential
+samples of each piece once, by step doubling against a stated tolerance;
+no propagator is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import sl2
@@ -35,16 +38,37 @@ from .errors import (
     ValidationError,
 )
 from .potentials import ContinuumPotential, DiscreteFamily, DiscretePotential, Gap
-from .util import canonical_json, gauss_nodes
+from .util import gauss_nodes
 
-_METHOD = "DOP853"
-_RTOL = 1e-12
-_ATOL = 1e-14
+# relative (max-norm) error target of a piece propagator, estimated by step
+# doubling at the probe energies; see _Piece
+_TOL = 1e-10
+_MIN_STEPS_PER_UNIT = 8
+_MAX_STEPS = 2 ** 14
+# probe energies: a ladder above the largest sampled value of V, plus one
+# below the smallest; on the bump and the well the doubling estimate varied
+# by about a factor of ten over this range and stayed below its top up to
+# E = 1e5
+_PROBE_OFFSETS = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 # identifies the numerics behind every piece propagator; results computed
 # under another engine must not be served from a cache
-ENGINE = f"{_METHOD} rtol={_RTOL!r} atol={_ATOL!r}"
+ENGINE = (f"gauss-magnus4 step-doubling tol={_TOL!r} "
+          f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS}")
+# energies per batch, and energy-steps per batch, bound the stacks in memory
 _CHUNK = 256
+_STACK = 2 ** 18
 _SMALL_X = 1e-10
+
+
+def __getattr__(name):
+    # The benchmark tracer (perfbench/tracing.py) wraps ``cocycle.solve_ivp``
+    # by name to count ODE solves.  The package never calls it; resolving it
+    # lazily keeps that lookup working without importing scipy.integrate at
+    # start-up.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,120 +123,127 @@ def free_block(E, length):
 
 
 # ---------------------------------------------------------------------------
-# piece integration with shared caches
+# nonzero pieces: fourth-order Gauss-Magnus steps
 # ---------------------------------------------------------------------------
 
-
-class _FifoCache:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._d = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get_or_make(self, key, maker):
-        with self._lock:
-            if key in self._d:
-                self._d.move_to_end(key)
-                return self._d[key]
-        val = maker()
-        with self._lock:
-            self._d.setdefault(key, val)
-            self._d.move_to_end(key)
-            while len(self._d) > self.cap:
-                self._d.popitem(last=False)
-        return val
+# Gauss nodes of a step of length h sit at (1/2 -+ _GAUSS) h
+_GAUSS = math.sqrt(3.0) / 6.0
+_COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
-_FULL_CACHE = _FifoCache(2048)
-_DENSE_CACHE = _FifoCache(48)
+def _magnus_steps(h, a, vbar, E):
+    """Step propagators exp([[a, b], [h, -a]]) with b = h (vbar - E).
 
-
-def _integrate_piece(base_fn, shift, timescale, length, E, dense):
-    """Fundamental solution of one piece for an energy batch.
-
-    Returns the dense OdeSolution when dense=True, otherwise the (K,2,2)
-    endpoint propagator.  E is a 1-d array, real or complex.
+    h, a and vbar broadcast along the steps and E along the leading axis;
+    returns (K, steps, 2, 2).  Omega = [[a, b], [h, -a]] squares to
+    (a^2 + b h) I, so exp(Omega) = c I + s Omega with the (c, s) of
+    free_block: determinant one, entire in E.
     """
-    E = np.asarray(E)
-    K = E.shape[0]
-    cdtype = complex if np.iscomplexobj(E) else float
-    y0 = np.broadcast_to(np.eye(2, dtype=cdtype), (K, 2, 2)).ravel().copy()
-
-    def rhs(s, y):
-        A = y.reshape(K, 2, 2)
-        v = float(base_fn(np.array([shift + timescale * s]))[0])
-        out = np.empty_like(A)
-        out[:, 0, :] = (v - E)[:, None] * A[:, 1, :]
-        out[:, 1, :] = A[:, 0, :]
-        return out.ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, length),
-        y0,
-        method=_METHOD,
-        rtol=_RTOL,
-        atol=_ATOL,
-        dense_output=dense,
-        t_eval=None if dense else [length],
-        max_step=length / 16.0,
-    )
-    if not sol.success:
-        raise IntegrationFailureError(
-            f"piece integration failed: {sol.message}", interval=(0.0, length)
-        )
-    if dense:
-        return sol.sol
-    A = sol.y[:, -1].reshape(K, 2, 2)
-    if not np.iscomplexobj(A):
-        A = sl2.renorm2(A)
-    return A
+    b = h * (vbar - E[:, None])
+    c, s = _cos_sinc(-(a * a + b * h))
+    out = np.empty(c.shape + (2, 2), dtype=c.dtype)
+    out[..., 0, 0] = c + s * a
+    out[..., 0, 1] = s * b
+    out[..., 1, 0] = s * h
+    out[..., 1, 1] = c - s * a
+    return out
 
 
-def _energy_key(E):
-    E = np.asarray(E)
-    return (E.dtype.char, E.tobytes())
+def _tree_product(S):
+    """Ordered product S[:, n-1] ... S[:, 0] of a (K, n, 2, 2) stack, by
+    pairwise products in ceil(log2 n) vectorized rounds."""
+    while S.shape[1] > 1:
+        n = S.shape[1]
+        paired = sl2.mul2(S[:, 1::2], S[:, 0:n - 1:2])
+        S = paired if n % 2 == 0 else np.concatenate([paired, S[:, -1:]], axis=1)
+    return S[:, 0]
 
 
-@dataclass(frozen=True)
-class _PieceHandle:
-    """Identity and evaluators for one nonzero piece of a potential."""
+def _prefix_products(S):
+    """P[:, k] = S[:, k-1] ... S[:, 0] for k = 0..n (P[:, 0] = I), by a
+    Hillis-Steele scan in ceil(log2 n) vectorized rounds."""
+    K, n = S.shape[:2]
+    P = np.empty((K, n + 1, 2, 2), dtype=S.dtype)
+    P[:, 0] = np.eye(2)
+    P[:, 1:] = S
+    d = 1
+    while d < n:
+        P[:, d + 1:] = sl2.mul2(P[:, d + 1:], P[:, 1:n + 1 - d])
+        d *= 2
+    return P
 
-    base_json: str
-    base_fn: object
-    shift: float
-    timescale: float
-    length: float
 
-    def _key(self, E, tag):
-        return (tag, self.base_json, self.shift, self.timescale, self.length,
-                *_energy_key(E))
+class _Piece:
+    """Propagators across one nonzero piece, V(s) = fn(shift + timescale s)
+    for s in [0, length], for any batch of energies.
+
+    V is sampled once, at the Gauss nodes of ``steps`` equal steps; the
+    samples do not depend on E.  ``steps`` is the first count in
+    n0, 2 n0, 4 n0, ... (n0 = _MIN_STEPS_PER_UNIT per unit length) whose
+    piece propagator differs from the one with twice the steps by at most
+    _TOL, relative to max(1, its size), at every probe energy.  For a
+    fourth-order method that difference estimates the error of the coarser
+    propagator, so the count grows with the timescale and with narrow
+    features of V and is the same for every energy.
+    """
+
+    def __init__(self, fn, shift, timescale, length):
+        self._fn = fn
+        self._shift = shift
+        self._timescale = timescale
+        self.length = length
+        n = max(1, math.ceil(_MIN_STEPS_PER_UNIT * length))
+        coarse = self._uniform(n)
+        v = coarse[2]
+        probes = np.concatenate([[v.min() - 1.0], v.max() + np.array(_PROBE_OFFSETS)])
+        coarse_prop = _tree_product(_magnus_steps(*coarse, probes))
+        while True:
+            if 2 * n > _MAX_STEPS:
+                raise IntegrationFailureError(
+                    f"piece needs more than {_MAX_STEPS} Magnus steps to meet "
+                    f"tolerance {_TOL!r}", interval=(0.0, length))
+            fine = self._uniform(2 * n)
+            fine_prop = _tree_product(_magnus_steps(*fine, probes))
+            size = np.maximum(1.0, np.max(np.abs(fine_prop), axis=(1, 2)))
+            err = np.max(np.abs(coarse_prop - fine_prop), axis=(1, 2)) / size
+            if np.all(err <= _TOL):
+                break
+            n, coarse, coarse_prop = 2 * n, fine, fine_prop
+        self.steps = n
+        self._h, self._a, self._vbar = coarse
+
+    def _sample(self, left, h):
+        """(a, vbar) of the Magnus steps [left, left + h]; left and h broadcast."""
+        left, h = np.broadcast_arrays(left, h)
+        nodes = np.concatenate([left + h * (0.5 - _GAUSS), left + h * (0.5 + _GAUSS)])
+        v = self._fn(self._shift + self._timescale * nodes)
+        if not np.all(np.isfinite(v)):
+            raise IntegrationFailureError("potential is not finite on the piece",
+                                          interval=(0.0, self.length))
+        v1, v2 = v[:left.shape[0]], v[left.shape[0]:]
+        return _COMMUTATOR * h * h * (v2 - v1), 0.5 * (v1 + v2)
+
+    def _uniform(self, n):
+        """(h, a, vbar) of n equal steps across the piece."""
+        h = self.length / n
+        return (h,) + self._sample(h * np.arange(n), h)
 
     def full(self, E):
-        return _FULL_CACHE.get_or_make(
-            self._key(E, "full"),
-            lambda: _integrate_piece(self.base_fn, self.shift, self.timescale,
-                                     self.length, E, dense=False),
-        )
+        """(K, 2, 2) propagator across the whole piece."""
+        return _tree_product(_magnus_steps(self._h, self._a, self._vbar, E))
 
-    def partial(self, E, s):
-        """Propagator from the piece start to local time s in [0, length]."""
-        if s <= 0.0:
-            K = np.asarray(E).shape[0]
-            dt = complex if np.iscomplexobj(np.asarray(E)) else float
-            return np.broadcast_to(np.eye(2, dtype=dt), (K, 2, 2)).copy()
-        if s >= self.length:
-            return self.full(E)
-        dense = _DENSE_CACHE.get_or_make(
-            self._key(E, "dense"),
-            lambda: _integrate_piece(self.base_fn, self.shift, self.timescale,
-                                     self.length, E, dense=True),
-        )
-        K = np.asarray(E).shape[0]
-        A = dense(s).reshape(K, 2, 2)
-        if not np.iscomplexobj(A):
-            A = sl2.renorm2(A)
-        return A
+    def prefix(self, E, s):
+        """(K, len(s), 2, 2) propagators from the piece start to local times
+        s in [0, length]: the scanned products of the whole steps below each
+        time, then one shortened Magnus step up to the time itself."""
+        k = np.minimum(np.floor(s / self._h), self.steps).astype(int)
+        left = k * self._h
+        r = np.maximum(s - left, 0.0)
+        short = _magnus_steps(r, *self._sample(left, r), E)
+        top = int(k.max())
+        whole = _prefix_products(
+            _magnus_steps(self._h, self._a[:top], self._vbar[:top], E))
+        return sl2.mul2(short, whole[:, k])
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +261,18 @@ def _as_batch(E):
     return arr, False
 
 
-def _times_period_powers(M, ks, in_period):
-    """Stack (K, len(ks), 2, 2) of in_period(i) . M**ks[i].
+def _times_period_powers(M, ks, A):
+    """A[:, i] . M**ks[i] for a (K, len(ks), 2, 2) stack A, written into A.
 
     Each distinct power is computed once; M**-k inverts M**k.
     """
-    pows = {k: sl2.power2(M, int(k)) if k > 0 else sl2.inv2(sl2.power2(M, int(-k)))
-            for k in np.unique(ks) if k != 0}
-    out = np.empty((M.shape[0], len(ks), 2, 2), dtype=M.dtype)
-    for i, k in enumerate(ks):
-        A = in_period(i)
-        out[:, i] = A if k == 0 else sl2.mul2(A, pows[k])
-    return out
+    for k in np.unique(ks):
+        if k == 0:
+            continue
+        P = sl2.power2(M, int(k)) if k > 0 else sl2.inv2(sl2.power2(M, int(-k)))
+        rows = ks == k
+        A[:, rows] = sl2.mul2(A[:, rows], P[:, None])
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -263,59 +294,80 @@ class ContinuumCocycle:
 
     @cached_property
     def _segments(self):
-        """(start, length, handle-or-None) per segment; None marks a gap."""
+        """(start, length, piece-or-None) per segment; None marks a gap.
+
+        Segments reading the same window of the same base share one _Piece.
+        """
+        pieces = {}
         out = []
-        bounds = self.pot.boundaries
-        for i, seg in enumerate(self.pot.segments):
-            if isinstance(seg, Gap):
-                out.append((float(bounds[i]), seg.length, None))
-            else:
-                base = self.pot.bases[seg.base]
-                handle = _PieceHandle(
-                    base_json=canonical_json(base.to_json()),
-                    base_fn=base,
-                    shift=seg.shift,
-                    timescale=seg.timescale,
-                    length=seg.length,
-                )
-                out.append((float(bounds[i]), seg.length, handle))
+        for start, seg in zip(self.pot.boundaries.tolist(), self.pot.segments):
+            piece = None
+            if not isinstance(seg, Gap):
+                key = (seg.base, seg.shift, seg.timescale, seg.length)
+                piece = pieces.get(key)
+                if piece is None:
+                    piece = pieces[key] = _Piece(self.pot.bases[seg.base], *key[1:])
+            out.append((start, seg.length, piece))
         return tuple(out)
 
+    @cached_property
+    def _batch(self):
+        """Energies per block: at most _CHUNK, and at most _STACK
+        energy-steps of the piece with the most steps."""
+        steps = max((p.steps for _, _, p in self._segments if p is not None),
+                    default=1)
+        return max(1, min(_CHUNK, _STACK // steps))
+
     def _chunked(self, E, fn):
-        """Apply fn to <=_CHUNK-sized energy blocks and stack the results."""
-        if E.shape[0] <= _CHUNK:
+        """Apply fn to energy blocks of self._batch and stack the results."""
+        size = self._batch
+        if E.shape[0] <= size:
             return fn(E)
-        parts = [fn(E[i:i + _CHUNK]) for i in range(0, E.shape[0], _CHUNK)]
+        parts = [fn(E[i:i + size]) for i in range(0, E.shape[0], size)]
         return np.concatenate(parts, axis=0)
 
     def _entry_matrices(self, E):
-        """Cumulative A(0 -> segment start) for each segment, plus monodromy."""
+        """A(0 -> segment start) for each segment, then the monodromy:
+        (segments + 1, K, 2, 2).  Each distinct piece or gap length is
+        propagated once."""
         K = E.shape[0]
         dt = complex if np.iscomplexobj(E) else float
-        cur = np.broadcast_to(np.eye(2, dtype=dt), (K, 2, 2)).copy()
+        cur = np.broadcast_to(np.eye(2, dtype=dt), (K, 2, 2))
         entries = [cur]
-        for start, length, handle in self._segments:
-            blk = free_block(E, length) if handle is None else handle.full(E)
-            cur = sl2.mul2(blk, cur)
+        blocks = {}
+        for _, length, piece in self._segments:
+            key = length if piece is None else piece
+            if key not in blocks:
+                blocks[key] = free_block(E, length) if piece is None else piece.full(E)
+            cur = sl2.mul2(blocks[key], cur)
             entries.append(cur)
-        return entries
+        return np.stack(entries)
 
-    def _prefix_in_period(self, E, t, entries):
-        """A(0 -> t) for a scalar t in [0, period]."""
+    def _in_period(self, E, t, entries):
+        """A(0 -> t) for an array of times t in [0, period]: (K, len(t), 2, 2).
+
+        Times are grouped by the piece or gap length they fall in, so each
+        distinct one is evaluated once for all its times.
+        """
         segs = self._segments
-        # locate the segment containing t
-        idx = len(segs) - 1
-        for i, (start, length, _) in enumerate(segs):
-            if t < start + length:
-                idx = i
-                break
-        start, length, handle = segs[idx]
-        local = min(max(t - start, 0.0), length)
-        if handle is None:
-            blk = free_block(E, local)
-        else:
-            blk = handle.partial(E, local)
-        return sl2.mul2(blk, entries[idx])
+        starts = np.array([s[0] for s in segs])
+        lengths = np.array([s[1] for s in segs])
+        idx = np.minimum(np.searchsorted(starts + lengths, t, side="right"),
+                         len(segs) - 1)
+        local = np.minimum(np.maximum(t - starts[idx], 0.0), lengths[idx])
+        groups = {}
+        for i in np.unique(idx):
+            _, length, piece = segs[i]
+            groups.setdefault(length if piece is None else piece, []).append(i)
+        out = np.empty((E.shape[0], t.shape[0], 2, 2), dtype=entries.dtype)
+        for key, members in groups.items():
+            rows = np.nonzero(np.isin(idx, members))[0]
+            if isinstance(key, _Piece):
+                blk = key.prefix(E, local[rows])
+            else:
+                blk = free_block(E[:, None], local[rows])
+            out[:, rows] = sl2.mul2(blk, entries[idx[rows]].swapaxes(0, 1))
+        return out
 
     def prefix(self, E, t):
         """A(E, 0, t) for scalar t (may exceed the period or be negative)."""
@@ -325,15 +377,14 @@ class ContinuumCocycle:
         """A(E, 0, t) for an ascending array of times; returns (K, Nt, 2, 2)."""
         Earr, scalar = _as_batch(E)
         t_grid = np.asarray(t_grid, dtype=float)
+        T = self.period
+        ks = np.floor(t_grid / T).astype(int)
+        rems = t_grid - ks * T
 
         def run(block):
             entries = self._entry_matrices(block)
-            T = self.period
-            ks = np.floor(t_grid / T).astype(int)
-            return _times_period_powers(
-                entries[-1], ks,
-                lambda i: self._prefix_in_period(block, t_grid[i] - ks[i] * T,
-                                                 entries))
+            return _times_period_powers(entries[-1], ks,
+                                        self._in_period(block, rems, entries))
 
         out = self._chunked(Earr, run)
         return out[0] if scalar else out
@@ -365,7 +416,7 @@ class ContinuumCocycle:
             if t0 == 0.0:
                 return M
             rem = t0 - math.floor(t0 / self.period) * self.period
-            P = self._prefix_in_period(block, rem, entries)
+            P = self._in_period(block, np.array([rem]), entries)[:, 0]
             return sl2.mul2(sl2.mul2(P, M), sl2.inv2(P))
 
         out = self._chunked(Earr, run)
@@ -451,7 +502,7 @@ class DiscreteCocycle:
         table = self._prefix_table(Earr)
         ks = sites // self.sites
         rems = sites - ks * self.sites
-        out = _times_period_powers(table[-1], ks, lambda i: table[rems[i]])
+        out = _times_period_powers(table[-1], ks, table.swapaxes(0, 1)[:, rems])
         return out[0] if scalar else out
 
     def transfer(self, E, j0, j1):
@@ -814,19 +865,18 @@ def density(system, E, bandset: BandSet = None, *, t_samples: int = 512,
             fd_step: float = 1e-6):
     """Density of states dN/dE at energies strictly inside bands.
 
-    Continuum: fixed_point_density, one energy at a time.
+    Continuum: fixed_point_density over the whole batch.
     Discrete: finite difference of the rotation angle.
     """
     Earr, scalar = _as_batch(E)
-    out = np.empty(Earr.shape[0])
     if system.kind == "continuum":
-        # one energy per call keeps the piece caches keyed on single energies
-        for i, e in enumerate(Earr):
-            out[i] = fixed_point_density(system, np.array([float(e)]), t_samples)[0]
-            if not np.isfinite(out[i]):
-                raise NotEllipticError(f"energy {e!r} is not inside a band")
+        out = fixed_point_density(system, Earr.astype(float), t_samples)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise NotEllipticError(f"energy {Earr[bad[0]]!r} is not inside a band")
     else:
         n = system.sites
+        out = np.empty(Earr.shape[0])
         for i, e in enumerate(Earr):
             h = fd_step * max(1.0, abs(float(e)))
             th_p = rotation_angle_at(system, float(e) + h)

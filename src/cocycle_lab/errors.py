@@ -26,7 +26,7 @@ class ProjectionError(ValidationError):
 
 
 class IntegrationFailureError(CocycleLabError):
-    """The ODE integrator could not meet its error target."""
+    """A piece propagator could not meet its error target."""
 
     def __init__(self, message, interval=None):
         super().__init__(message)

@@ -280,9 +280,7 @@ def run_lemma22(
     system = cyc.ContinuumCocycle(pot)
     period0 = system.period
     energies = M * (np.arange(energy_grid) + 0.5) / energy_grid
-    # DOP853 step control runs per energy batch, so the batches fix the bytes
-    chunks = np.array_split(energies, max(1, energy_grid // 256))
-    A = np.concatenate([system.monodromy(c) for c in chunks], axis=0)
+    A = system.monodromy(energies)
     elliptic = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
     if not np.any(elliptic):
         raise PipelineCollapseError(0, "no elliptic energies on the grid")
@@ -290,9 +288,7 @@ def run_lemma22(
     u = np.where(elliptic, sl2.fixed_points2(A), 1j)
 
     frac = (np.arange(frac_samples) + 0.5) / frac_samples
-    prefix_frac = np.concatenate(
-        [system.prefix_grid(c, frac * period0) for c in chunks], axis=0
-    )
+    prefix_frac = system.prefix_grid(energies, frac * period0)
 
     base_avg = np.zeros(energy_grid)
     for f in range(frac_samples):

@@ -23,6 +23,8 @@ _DET_TOL = 1e-9
 _RENORM_LIMIT = 1e-3
 # power2 renormalizes a product only while |ad| + |bc| stays below this
 _RENORM_SPAN = 1e3
+# norms2 switches to its cancellation-free form where |A|_F^2 - 2 is below this
+_NEAR_ROTATION = 1e-3
 
 
 def _require_finite(*vals):
@@ -334,6 +336,16 @@ def hyp_dist2(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def norms2(A: np.ndarray) -> np.ndarray:
-    """Largest singular values over a stack of determinant-one matrices."""
+    """Largest singular values over a stack of determinant-one matrices.
+
+    With s = |A|_F^2 the value is sqrt((s + sqrt(s^2 - 4)) / 2).  Near a
+    rotation s^2 - 4 cancels to rounding noise, so there s - 2 is taken as
+    q = (a - d)^2 + (b + c)^2, its cancellation-free form for determinant
+    one.  Away from rotations the direct form is accurate and is kept, so
+    the reports built on it keep their bytes.
+    """
     s = np.maximum(np.einsum("...ij,...ij->...", A, A), 2.0)
-    return np.sqrt(0.5 * (s + np.sqrt(np.maximum(s * s - 4.0, 0.0))))
+    q = (A[..., 0, 0] - A[..., 1, 1]) ** 2 + (A[..., 0, 1] + A[..., 1, 0]) ** 2
+    direct = np.sqrt(0.5 * (s + np.sqrt(np.maximum(s * s - 4.0, 0.0))))
+    near_rotation = np.sqrt(1.0 + 0.5 * (q + np.sqrt(q * (q + 4.0))))
+    return np.where(q < _NEAR_ROTATION, near_rotation, direct)

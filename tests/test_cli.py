@@ -244,6 +244,44 @@ def test_import_loads_no_stats_or_thread_pool():
     assert [m for m in added if m.startswith(("scipy.stats", "concurrent"))] == []
 
 
+def _run_python(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_import_leaves_out_scipy_integrate():
+    done = _run_python("import sys\n"
+                       "import cocycle_lab.cli\n"
+                       "print('scipy.integrate' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+def test_benchmark_tracer_installs_on_the_cli():
+    # perfbench/tracing.py wraps the package by attribute name, including
+    # cocycle.solve_ivp; a traced continuum trace must count no ODE solve
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(cli.__file__)))), "perfbench")
+    code = ("import sys\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "import cocycle_lab.cli\n"
+            "import tracing\n"
+            "tracing.install()\n"
+            "from cocycle_lab import cocycle, potentials\n"
+            "tracing.TRACER.active = True\n"
+            "cocycle.ContinuumCocycle(potentials.bundled('smooth-bump')).trace(1.0)\n"
+            "counts, _ = tracing.TRACER.summary()\n"
+            "print(counts.get('cocycle.propagate.calls', 0),"
+            " counts.get('cocycle.ode.calls', 0))")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    propagate, ode = (int(x) for x in done.stdout.split())
+    assert propagate >= 1
+    assert ode == 0
+
+
 def test_growth_csv_skips_gap_energies(tmp_path):
     out = tmp_path / "g.csv"
     rc = dispatch(["growth", "--potential", desc("cos2.json"),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import sl2
@@ -177,6 +177,7 @@ class TestProperties:
         assert svd_norm == pytest.approx(expected, rel=1e-12)
 
     @given(h_res, h_ims, angles)
+    @example(re=0.0, im=0.99999, theta=0.125)  # near a rotation
     @settings(max_examples=100, deadline=None)
     def test_mat2_norm_matches_svd(self, re, im, theta):
         A = elliptic_from(re, im, theta)
