@@ -1,6 +1,7 @@
 """Upper-half-plane geometry: frozen values, oracles, and invariants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def elliptic_from(re, im, theta):
     """General elliptic matrix with fixed point re+im*i and angle theta."""
     B = sl2.frame_for_point(HPoint(re, im))
     return B.inv() @ rotation(theta) @ B
+
+
+def exact_power(A, k):
+    """A**k of a float matrix in exact rational arithmetic, rounded once."""
+    a = [[Fraction(float(x)) for x in row] for row in A]
+    P = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for _ in range(k):
+        P = [[P[i][0] * a[0][j] + P[i][1] * a[1][j] for j in range(2)]
+             for i in range(2)]
+    return np.array([[float(x) for x in row] for row in P])
 
 
 # strategy: fixed points in a moderate box, angles away from {0, 1/2, 1}
@@ -185,11 +196,13 @@ class TestProperties:
         assert A.norm() == pytest.approx(svd_norm, rel=1e-12)
 
     @given(st.integers(0, 40), h_res, h_ims, angles)
+    @example(k=30, re=3.0, im=0.0625, theta=0.05)  # A**30 ~ -I, |A| ~ 47
     @settings(max_examples=100, deadline=None)
     def test_power_matches_repeated_product(self, k, re, im, theta):
-        A = elliptic_from(re, im, theta)
-        direct = np.linalg.matrix_power(A.to_array(), k)
-        np.testing.assert_allclose(sl2.power2(A.to_array(), k), direct, atol=1e-9)
+        # the exact product is the oracle: np.linalg.matrix_power itself is
+        # up to 7e-8 off here, where A**k is small against |A| ~ 180
+        A = elliptic_from(re, im, theta).to_array()
+        np.testing.assert_allclose(sl2.power2(A, k), exact_power(A, k), atol=1e-9)
 
 
 class TestBatchHelpers:
@@ -235,6 +248,29 @@ class TestBatchHelpers:
             np.array([np.linalg.matrix_power(m, 7) for m in A]),
             atol=1e-10,
         )
+
+    def test_power_of_complex_stack(self):
+        rng = np.random.default_rng(9)
+        A = np.array(
+            [
+                elliptic_from(
+                    rng.uniform(-2, 2), rng.uniform(0.2, 3.0), rng.uniform(0.1, 0.4)
+                ).to_array()
+                for _ in range(8)
+            ]
+        ) + 1e-3j * rng.standard_normal((8, 2, 2))
+        np.testing.assert_allclose(
+            sl2.power2(A, 9),
+            np.array([np.linalg.matrix_power(m, 9) for m in A]),
+            atol=1e-10,
+        )
+
+    def test_power_overflow_is_inf_not_nan(self):
+        A = np.array([[[1e200, 0.0], [0.0, 1e-200]], [[0.5, 0.0], [0.0, 2.0]]])
+        with np.errstate(over="ignore"):
+            P = sl2.power2(A, 2)
+        assert P[0, 0, 0] == np.inf and not np.isnan(P).any()
+        np.testing.assert_array_equal(P[1], [[0.25, 0.0], [0.0, 4.0]])
 
     def test_moebius_and_dist_batch(self):
         rng = np.random.default_rng(3)
