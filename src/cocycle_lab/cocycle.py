@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import sl2
+from . import sl2, util
 from .errors import (
     IntegrationFailureError,
     NotEllipticError,
@@ -62,9 +61,9 @@ _SMALL_X = 1e-10
 
 def __getattr__(name):
     # The benchmark tracer (perfbench/tracing.py) wraps ``cocycle.solve_ivp``
-    # by name to count ODE solves.  The package never calls it; resolving it
-    # lazily keeps that lookup working without importing scipy.integrate at
-    # start-up.
+    # by name to count ODE solves.  The package never calls it and does not
+    # depend on scipy: only the tracer and the tests need scipy, and this
+    # lookup imports it only when the tracer asks.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp
@@ -607,10 +606,6 @@ class BandSet:
         }
 
 
-def _trace_sign(tr: float) -> int:
-    return 1 if tr >= 0.0 else -1
-
-
 def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
                   tangency_tol: float = 1e-9, budget: int = 2_000_000) -> BandSet:
     """Locate the closed-band decomposition of [e_min, e_max].
@@ -618,6 +613,17 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
     Bands are maximal intervals with |trace| <= 2, split at interior
     tangency points where the trace touches +-2, so touching bands are
     reported separately and closed gaps are kept visible.
+
+    Each stage is batched over all bands, so the number of ``trace``
+    calls grows with the iterations of the slowest bracket, not with the
+    number of bands: the scan and its 4x refinement of outside runs; the
+    bisections that look for a band between two outside samples of
+    opposite sign (all such pairs step together); the band edges (one
+    lockstep ``util.brentq`` solve); the tangency grids of all bands (one
+    call); the ``trace_derivative`` roots of all tangency candidates; and
+    both edges of every micro-gap.  Every bracket runs the same iteration
+    it would run alone, so the edges do not depend on the batching.
+    ``budget`` bounds the number of trace evaluations.
     """
     if not e_max > e_min:
         raise ValidationError("need e_max > e_min")
@@ -662,118 +668,63 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
 
     # both-outside sign changes must contain a band: bisect until found
     inside = np.abs(trs) <= 2.0
+    pair = np.flatnonzero(~inside[:-1] & ~inside[1:] & (trs[:-1] * trs[1:] < 0))
+    a, fa, b, fb = Es[pair], trs[pair], Es[pair + 1], trs[pair + 1]
     add_pts, add_trs = [], []
-    for i in range(len(Es) - 1):
-        if (not inside[i]) and (not inside[i + 1]) and trs[i] * trs[i + 1] < 0:
-            a, fa, b, fb = Es[i], trs[i], Es[i + 1], trs[i + 1]
-            found = None
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = float(tr_of(np.array([m]))[0])
-                add_pts.append(m)
-                add_trs.append(fm)
-                if abs(fm) <= 2.0:
-                    found = m
-                    break
-                if fa * fm < 0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-                if b - a < 1e-15 * max(1.0, abs(a)):
-                    break
-            if found is None and b - a > 1e-15 * max(1.0, abs(a)):
-                raise ResolutionError(
-                    f"could not resolve a band inside ({Es[i]!r}, {Es[i+1]!r})"
-                )
+    for _ in range(200):
+        if not a.size:
+            break
+        m = 0.5 * (a + b)
+        fm = tr_of(m)
+        add_pts.append(m)
+        add_trs.append(fm)
+        left = fa * fm < 0
+        a, fa = np.where(left, a, m), np.where(left, fa, fm)
+        b, fb = np.where(left, m, b), np.where(left, fm, fb)
+        live = ((np.abs(fm) > 2.0)
+                & ~(b - a < 1e-15 * np.maximum(1.0, np.abs(a))))
+        a, fa, b, fb = a[live], fa[live], b[live], fb[live]
+    wide = b - a > 1e-15 * np.maximum(1.0, np.abs(a))
+    if wide.any():
+        raise ResolutionError(
+            f"could not resolve a band inside ({a[wide][0]!r}, {b[wide][0]!r})"
+        )
     if add_pts:
-        Es = np.concatenate([Es, np.asarray(add_pts)])
-        trs = np.concatenate([trs, np.asarray(add_trs)])
+        Es = np.concatenate([Es, *add_pts])
+        trs = np.concatenate([trs, *add_trs])
         order = np.argsort(Es)
         Es, trs = Es[order], trs[order]
 
+    # inside runs [starts[r], ends[r]]; each run's outer edges are refined
+    # between its end samples and their outside neighbours
     inside = np.abs(trs) <= 2.0
-
-    def edge_between(i_out, i_in):
-        """Refine the band edge between an outside and an inside sample."""
-        sign = _trace_sign(trs[i_out])
-        f = lambda x: float(tr_of(np.array([x]))[0]) - 2.0 * sign
-        a, b = min(Es[i_out], Es[i_in]), max(Es[i_out], Es[i_in])
-        fa, fb = f(a), f(b)
-        if fa == 0.0:
-            return a, sign
-        if fb == 0.0:
-            return b, sign
-        if fa * fb > 0:
-            # the inside sample sits within tolerance of the edge already
-            return (Es[i_in], sign)
-        return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200), sign
-
-    raw_bands = []
-    i = 0
     npts = len(Es)
-    while i < npts:
-        if inside[i]:
-            j = i
-            while j + 1 < npts and inside[j + 1]:
-                j += 1
-            if i == 0:
-                lo, lo_sign = Es[0], 0
-            else:
-                lo, lo_sign = edge_between(i - 1, i)
-            if j == npts - 1:
-                hi, hi_sign = Es[-1], 0
-            else:
-                hi, hi_sign = edge_between(j + 1, j)
-            if hi > lo:
-                raw_bands.append((lo, hi, lo_sign, hi_sign))
-            i = j + 1
-        else:
-            i += 1
+    step = np.diff(np.concatenate([[0], inside.astype(np.int8), [0]]))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1) - 1
+    has_lo, has_hi = starts > 0, ends < npts - 1
+    edges = _band_edges(
+        tr_of, Es, trs,
+        np.concatenate([starts[has_lo] - 1, ends[has_hi] + 1]),
+        np.concatenate([starts[has_lo], ends[has_hi]]),
+    )
+    n_lo = int(has_lo.sum())
+    lo_edges, hi_edges = iter(edges[:n_lo]), iter(edges[n_lo:])
+    raw_bands = []
+    for i, j in zip(starts, ends):
+        lo, lo_sign = (Es[0], 0) if i == 0 else next(lo_edges)
+        hi, hi_sign = (Es[-1], 0) if j == npts - 1 else next(hi_edges)
+        if hi > lo:
+            raw_bands.append((lo, hi, lo_sign, hi_sign))
 
     # split bands at interior tangencies (|trace| returning to 2 inside)
+    splits = _tangencies(system, tr_of, raw_bands, grid, tangency_tol)
     final = []
-    for lo, hi, lo_sign, hi_sign in raw_bands:
-        splits = []
-        width = hi - lo
-        if width > 0:
-            m = max(64, min(512, grid // max(len(raw_bands), 1)))
-            gridE = np.linspace(lo, hi, m + 1)
-            gtr = tr_of(gridE)
-            cand = []
-            for idx in range(1, m):
-                a_ = abs(gtr[idx])
-                # sampled maxima can sit visibly below 2 when the grid
-                # straddles the touching point, so the filter stays loose and
-                # the refined trace value decides
-                if a_ >= abs(gtr[idx - 1]) and a_ >= abs(gtr[idx + 1]) and a_ >= 1.9:
-                    cand.append(idx)
-            for idx in cand:
-                aE, bE = gridE[idx - 1], gridE[idx + 1]
-                da = system.trace_derivative(aE)
-                db = system.trace_derivative(bE)
-                da = float(np.atleast_1d(da)[0])
-                db = float(np.atleast_1d(db)[0])
-                if da * db >= 0:
-                    continue
-                Estar = brentq(
-                    lambda x: float(np.atleast_1d(system.trace_derivative(x))[0]),
-                    aE, bE, xtol=1e-14, rtol=8.9e-16, maxiter=200,
-                )
-                tstar = float(tr_of(np.array([Estar]))[0])
-                if abs(tstar) >= 2.0 - tangency_tol:
-                    if abs(tstar) <= 2.0 + tangency_tol:
-                        splits.append((Estar, Estar, _trace_sign(tstar)))
-                    else:
-                        # a genuine micro-gap: refine both crossing edges
-                        sgn = _trace_sign(tstar)
-                        f = lambda x: float(tr_of(np.array([x]))[0]) - 2.0 * sgn
-                        eL = brentq(f, aE, Estar, xtol=1e-14, rtol=8.9e-16)
-                        eR = brentq(f, Estar, bE, xtol=1e-14, rtol=8.9e-16)
-                        splits.append((eL, eR, sgn))
-        splits.sort()
+    for (lo, hi, lo_sign, hi_sign), cuts in zip(raw_bands, splits):
+        cuts.sort()
         # near-duplicate refinements of the same touching point collapse
         deduped = []
-        for s in splits:
+        for s in cuts:
             if deduped and abs(s[0] - deduped[-1][1]) <= 1e-9 * max(1.0, abs(s[0])):
                 continue
             deduped.append(s)
@@ -793,6 +744,80 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
         e_min=e_min,
         e_max=e_max,
     )
+
+
+# band edges and tangencies are refined to the last few ulps
+_EDGE_TOL = dict(xtol=1e-14, rtol=8.9e-16)
+
+
+def _band_edges(tr_of, Es, trs, i_out, i_in):
+    """(edge, sign) where |trace| crosses 2 between each outside sample
+    i_out and its inside neighbour i_in, all brackets solved together."""
+    sign = np.where(trs[i_out] >= 0.0, 1, -1)
+    two = 2.0 * sign
+    out_first = Es[i_out] < Es[i_in]
+    a = np.where(out_first, Es[i_out], Es[i_in])
+    b = np.where(out_first, Es[i_in], Es[i_out])
+    fa = np.where(out_first, trs[i_out], trs[i_in]) - two
+    fb = np.where(out_first, trs[i_in], trs[i_out]) - two
+    # a zero at an end is the edge; same signs mean the inside sample sits
+    # within tolerance of the edge already
+    edge = np.where(fa == 0.0, a, np.where(fb == 0.0, b, Es[i_in]))
+    edges = list(zip(edge, sign.tolist()))
+    k = np.flatnonzero((fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0))
+    roots = util.brentq(lambda x, lanes: tr_of(x) - two[k[lanes]],
+                        a[k], b[k], maxiter=200, fa=fa[k], fb=fb[k], **_EDGE_TOL)
+    for kk, r in zip(k.tolist(), roots.tolist()):
+        edges[kk] = (r, edges[kk][1])
+    return edges
+
+
+def _tangencies(system, tr_of, raw_bands, grid, tangency_tol):
+    """Per band, the (lo, hi, sign) cuts where |trace| returns to 2 inside
+    it: a touching point (lo == hi) or a micro-gap between two edges."""
+    splits = [[] for _ in raw_bands]
+    if not raw_bands:
+        return splits
+    m = max(64, min(512, grid // len(raw_bands)))
+    gridE = np.stack([np.linspace(lo, hi, m + 1) for lo, hi, _, _ in raw_bands])
+    gtr = tr_of(gridE.ravel()).reshape(gridE.shape)
+    g = np.abs(gtr)
+    # sampled maxima can sit visibly below 2 when the grid straddles the
+    # touching point, so the filter stays loose and the refined trace value
+    # decides
+    peak = (g[:, 1:-1] >= g[:, :-2]) & (g[:, 1:-1] >= g[:, 2:]) & (g[:, 1:-1] >= 1.9)
+    band, idx = np.nonzero(peak)
+    if not band.size:
+        return splits
+    idx = idx + 1
+    aE, bE = gridE[band, idx - 1], gridE[band, idx + 1]
+    d = system.trace_derivative(np.concatenate([aE, bE]))
+    da, db = d[:band.size], d[band.size:]
+    turn = da * db < 0
+    band, idx, aE, bE, da, db = (v[turn] for v in (band, idx, aE, bE, da, db))
+    if not band.size:
+        return splits
+    Estar = util.brentq(
+        lambda x, lanes: system.trace_derivative(x),
+        aE, bE, maxiter=200, fa=da, fb=db, **_EDGE_TOL)
+    tstar = tr_of(Estar)
+    sgn = np.where(tstar >= 0.0, 1, -1)
+    touch = np.abs(tstar) >= 2.0 - tangency_tol
+    # a genuine micro-gap: refine both crossing edges
+    gap = np.flatnonzero(touch & (np.abs(tstar) > 2.0 + tangency_tol))
+    two = np.tile(2.0 * sgn[gap], 2)
+    ends = util.brentq(
+        lambda x, lanes: tr_of(x) - two[lanes],
+        np.concatenate([aE[gap], Estar[gap]]),
+        np.concatenate([Estar[gap], bE[gap]]),
+        fa=np.concatenate([gtr[band[gap], idx[gap] - 1], tstar[gap]]) - two,
+        fb=np.concatenate([tstar[gap], gtr[band[gap], idx[gap] + 1]]) - two,
+        **_EDGE_TOL).tolist()
+    gap_ends = dict(zip(gap.tolist(), zip(ends[:gap.size], ends[gap.size:])))
+    for c in np.flatnonzero(touch).tolist():
+        eL, eR = gap_ends.get(c, (float(Estar[c]), float(Estar[c])))
+        splits[band[c]].append((eL, eR, int(sgn[c])))
+    return splits
 
 
 def discrete_band_spectrum(system: DiscreteCocycle, **kw) -> BandSet:
@@ -1109,12 +1134,13 @@ def uniformness_check(system, bandset: BandSet, level: float, *,
     region with a sqrt substitution at the edges.  The deficit per band
     is that mass; small deficits mean the band's spectral weight is
     spread uniformly rather than concentrated.
+
+    Per band half the density is evaluated in a few batched calls: the
+    threshold scan, each lockstep iteration of the crossing solve, and
+    all midpoints and Gauss nodes of the sub-intervals together.
     """
     if system.kind != "continuum":
         raise ValidationError("uniformness check applies to continuum systems")
-
-    def dens(e):
-        return density(system, float(e), t_samples=t_samples)
 
     deficits = []
     total_mass = 0.0
@@ -1123,51 +1149,52 @@ def uniformness_check(system, bandset: BandSet, level: float, *,
         for edge, mid, s in _band_halves(band):
             half = math.sqrt(abs(mid - edge))
 
-            def g(x):
-                # density mass element in the substituted variable
-                return dens(edge + s * x * x) * 2.0 * x
-
-            def excess_sign(x):
-                return dens(edge + s * x * x) - level
+            def dens(x):
+                # density at E = edge + s x^2, batched over x
+                return density(system, edge + s * x * x, t_samples=t_samples)
 
             # adaptive floor: tangent edges approach |trace| = 2
             # quadratically, so back off until the fixed point resolves
             x0 = half * 1e-4
             while True:
                 try:
-                    dens(edge + s * x0 * x0)
+                    d0 = dens(np.array([x0]))[0]
                     break
                 except NotEllipticError:
                     x0 *= 4.0
                     if x0 > half / 4.0:
                         raise
             xs = np.linspace(x0, half, scan)
-            signs = [excess_sign(x) for x in xs]
+            excess = dens(xs) - level
             # crossings of the threshold in the substituted variable
-            cuts = [xs[0]]
-            for i in range(len(xs) - 1):
-                if signs[i] == 0.0:
-                    cuts.append(xs[i])
-                elif signs[i] * signs[i + 1] < 0:
-                    cuts.append(brentq(excess_sign, xs[i], xs[i + 1],
-                                       xtol=1e-12, maxiter=200))
-            cuts.append(half)
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                if b <= a:
-                    continue
-                m = 0.5 * (a + b)
-                above = excess_sign(m) >= 0.0
-                nodes, wts = gauss_nodes(a, b, order)
-                mass = float(sum(g(x) * w for x, w in zip(nodes, wts)))
+            zero = np.flatnonzero(excess[:-1] == 0.0)
+            cross = np.flatnonzero((excess[:-1] != 0.0)
+                                   & (excess[:-1] * excess[1:] < 0))
+            roots = util.brentq(lambda x, lanes: dens(x) - level,
+                                xs[cross], xs[cross + 1], xtol=1e-12,
+                                maxiter=200, fa=excess[cross],
+                                fb=excess[cross + 1])
+            at = dict(zip(zero.tolist(), xs[zero]))
+            at.update(zip(cross.tolist(), roots.tolist()))
+            cuts = [xs[0]] + [at[i] for i in sorted(at)] + [half]
+            parts = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+            quad = [gauss_nodes(a, b, order) for a, b in parts]
+            mids = [0.5 * (a + b) for a, b in parts]
+            d = dens(np.concatenate([mids] + [x for x, _ in quad]))
+            above = d[:len(parts)] - level >= 0.0
+            for k, (nodes, wts) in enumerate(quad):
+                # density mass element in the substituted variable
+                g = d[len(parts) + k * order:][:order] * 2.0 * nodes
+                mass = float(sum(v * w for v, w in zip(g, wts)))
                 total_mass += mass
-                if above:
+                if above[k]:
                     band_deficit += mass
             # account for the unscanned sliver at the very edge; when the
             # density diverges there the mass element 2 x density(x) tends to
             # a constant, otherwise the sliver is O(x^2) and negligible
-            sliver = float(g(x0)) * x0
+            sliver = float(d0 * 2.0 * x0) * x0
             total_mass += sliver
-            if excess_sign(x0) >= 0.0:
+            if d0 - level >= 0.0:
                 band_deficit += sliver
         deficits.append(band_deficit)
     return UniformnessReport(

@@ -34,7 +34,9 @@ class IntegrationFailureError(CocycleLabError):
 
 
 class ResolutionError(CocycleLabError):
-    """A scan exhausted its evaluation budget; retry with a finer grid."""
+    """A scan exhausted its evaluation budget, or a root bracket failed
+    (no sign change, a NaN value, or no convergence); retry with a finer
+    grid."""
 
 
 class NormalFormBreakdownError(CocycleLabError):

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import util
 from .deform import PaddingSpec, sampling_family, twist_family
 from .errors import (
     DomainError,
@@ -396,7 +396,8 @@ def _calibrate_window(parent: TowerStage, start: float, length: float,
             hi *= 2.0
             if hi > 1e6:
                 raise RealizationError("window cannot absorb the requested time")
-        depth = brentq(gain, 0.0, hi, xtol=1e-13)
+        depth = util.brentq(lambda a, _: [gain(v) for v in a], 0.0, hi,
+                            xtol=1e-13)
         if depth <= bound:
             return float(depth), float(beta)
         beta /= 4.0

@@ -1,5 +1,6 @@
 """Command-line front end: descriptors, emission contracts, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from cocycle_lab import cli, deform, potentials, solenoid
+from cocycle_lab import cli, deform, potentials, solenoid, util
+from cocycle_lab import cocycle as cyc
 from cocycle_lab.cli import dispatch, load_descriptor, save_descriptor
 from cocycle_lab.errors import UsageError, ValidationError
 from cocycle_lab.util import canonical_json
@@ -280,6 +282,113 @@ def test_benchmark_tracer_installs_on_the_cli():
     propagate, ode = (int(x) for x in done.stdout.split())
     assert propagate >= 1
     assert ode == 0
+
+
+def test_cli_verbs_load_no_scipy(tmp_path):
+    # scipy is a test and benchmark dependency only; cli-discrete's verbs
+    # and the tower verbs (which solve for window depths) must not load it
+    t1, t2 = str(tmp_path / "t1.json"), str(tmp_path / "t2.json")
+    runs = [
+        ["bands", "--potential", desc("cos3.json")],
+        ["sweep", "--potential", desc("cos3.json"), "--quantity", "ids",
+         "--count", "16"],
+        ["sweep", "--potential", desc("cos3.json"), "--quantity", "density",
+         "--count", "16"],
+        ["sweep", "--potential", desc("cos3.json"), "--quantity", "growth",
+         "--count", "8", "--samples", "64"],
+        ["verify", "spectral-parseval", "--potential", desc("cos3.json"),
+         "--n", "3"],
+        ["verify", "asd12", "--family", desc("cos2.json"), "--emin", "0.3",
+         "--emax", "0.7", "--grid", "40", "--tpoints", "8"],
+        ["tower", "realize-pad", "--in", desc("v0.json"), "--delta", "0.05",
+         "--N", "4", "--n", "2", "--eps0", "0.4", "--out", t1],
+        ["tower", "realize-mix", "--in", t1, "--delta", "0.02", "--n", "3",
+         "--eps0", "0.2", "--out", t2],
+        ["tower", "mixedness", "--child", t2, "--parent", t1, "--N", "2",
+         "--starts", "64"],
+        ["verify", "slowdecay", "--ns", "8,16", "--depth", "2"],
+    ]
+    for k, argv in enumerate(runs):
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / f"out{k}")]
+    code = ("import json, sys\n"
+            "def scipy(): return [m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy']\n"
+            "import cocycle_lab.cli as cli\n"
+            "seen = [scipy()]\n"
+            f"for argv in {runs!r}:\n"
+            "    seen.append([argv[:2], cli.dispatch(argv), scipy()])\n"
+            "print(json.dumps(seen))")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen[0] == []
+    for verb, rc, loaded in seen[1:]:
+        assert (verb, rc, loaded) == (verb, 0, [])
+
+
+def test_no_module_imports_scipy_but_the_tracer_shim():
+    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(read(os.path.join(pkg, name)))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            elif isinstance(node, ast.Call) and node.args:
+                # importlib.import_module("scipy...") / __import__("scipy")
+                arg = node.args[0]
+                mods = [arg.value] if (isinstance(arg, ast.Constant)
+                                       and isinstance(arg.value, str)) else []
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in mods):
+                found.append((name, owner.get(id(node))))
+    # cocycle.__getattr__ resolves solve_ivp for the benchmark tracer only
+    assert found == [("cocycle.py", "__getattr__")]
+
+
+def _gap_bump_trace(self, E):
+    # one wide band with a micro-gap at 4.5 that the 16-point scan steps
+    # over but three points of the tangency grid fall in
+    return 1.0 + 2.0 * np.exp(-((np.asarray(E) - 4.5) / 0.4) ** 2)
+
+
+def test_solver_failures_exit_cleanly(tmp_path, monkeypatch, capsys):
+    # where scipy's ValueError/RuntimeError escaped as a traceback, a
+    # failed root solve is a ResolutionError: exit 1 and one line
+    bands = ["bands", "--potential", desc("v0.json"), "--grid", "16",
+             "--out", str(tmp_path / "b.csv")]
+    tower = ["tower", "realize-pad", "--in", desc("v0.json"), "--delta",
+             "0.05", "--N", "4", "--n", "2", "--eps0", "0.4",
+             "--out", str(tmp_path / "t.json")]
+    with monkeypatch.context() as m:
+        m.setattr(cyc.ContinuumCocycle, "trace", _gap_bump_trace)
+        assert dispatch(bands) == 1
+    with monkeypatch.context() as m:
+        m.setattr(solenoid, "ramp_profile",
+                  lambda s, beta: np.full(np.shape(s), np.nan))
+        assert dispatch(tower) == 1
+    with monkeypatch.context() as m:
+        m.setitem(util.brentq.__kwdefaults__, "maxiter", 2)
+        assert dispatch(tower) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    assert "does not change sign" in lines[0]
+    assert "NaN" in lines[1]
+    assert "did not converge in 2 iterations" in lines[2]
+    assert all(line.startswith("error: root ") for line in lines)
+    # unpatched, both commands succeed
+    assert dispatch(bands) == 0 and dispatch(tower) == 0
 
 
 def test_growth_csv_skips_gap_energies(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal, expm
 
-from cocycle_lab import cocycle, deform, sl2
+from cocycle_lab import cocycle, deform, sl2, util
 from cocycle_lab.cocycle import (
     Band,
     BandSet,
@@ -425,6 +425,42 @@ class TestBandSpectrum:
         assert bs.bands[0].hi_sign == -1
         assert bs.bands[1].lo_sign == -1
 
+    def test_batched_solves_equal_solo_solves(self, monkeypatch):
+        # every bracket solved alone, with its end values evaluated afresh,
+        # gives the bits of the lockstep solves; the well runs the edge,
+        # tangency and micro-gap solves
+        sysm = ContinuumCocycle(cosine_well_potential())
+        batched = band_spectrum(sysm, -4.0, 40.0)
+        lockstep = util.brentq
+        sizes = []
+
+        def solo(f, a, b, fa=None, fb=None, **kw):
+            sizes.append(np.size(a))
+            return np.array([
+                lockstep(lambda x, _: f(x, np.full(x.shape, k)), ak, bk, **kw)
+                for k, (ak, bk) in enumerate(zip(a, b))])
+
+        monkeypatch.setattr(util, "brentq", solo)
+        assert band_spectrum(sysm, -4.0, 40.0) == batched
+        assert len(sizes) == 3 and min(sizes) >= 1
+
+    def test_padded_bump_trace_calls(self, monkeypatch):
+        # all brackets of a stage share each trace call: 1061 calls when
+        # each edge had its own scalar solve, 52 now
+        sysm = ContinuumCocycle(deform.pad(smooth_bump_potential(),
+                                           deform.PaddingSpec(0.05, 4, 2)))
+        calls = []
+        trace = ContinuumCocycle.trace
+
+        def counted(self, E):
+            calls.append(np.size(E))
+            return trace(self, E)
+
+        monkeypatch.setattr(ContinuumCocycle, "trace", counted)
+        bs = band_spectrum(sysm, -1.0, 12.0)
+        assert len(bs) == 35
+        assert len(calls) <= 100
+
 
 class TestIdsAndDensity:
     def test_free_continuum_ids(self):
@@ -651,6 +687,23 @@ class TestUniformness:
         bs = discrete_band_spectrum(sysm)
         with pytest.raises(ValidationError):
             uniformness_check(sysm, bs, 1.0)
+
+    def test_density_calls_are_batched(self, monkeypatch):
+        # v0 at level 0.5 (the CLI defaults): 549 scalar calls when every
+        # scan point, crossing iterate and Gauss node had its own call
+        sysm = ContinuumCocycle(smooth_bump_potential())
+        bs = band_spectrum(sysm, -4.0, 12.0)
+        calls = []
+
+        def counted(system, E, *args, **kw):
+            calls.append(np.size(E))
+            return density(system, E, *args, **kw)
+
+        monkeypatch.setattr(cocycle, "density", counted)
+        rep = uniformness_check(sysm, bs, 0.5)
+        assert len(rep.band_deficits) == len(bs) == 3
+        assert len(calls) == 66
+        assert sum(calls) == 527
 
 
 class TestPropertyComposition:
