@@ -803,15 +803,29 @@ def _tangencies(system, tr_of, raw_bands, grid, tangency_tol):
     tstar = tr_of(Estar)
     sgn = np.where(tstar >= 0.0, 1, -1)
     touch = np.abs(tstar) >= 2.0 - tangency_tol
-    # a genuine micro-gap: refine both crossing edges
+    # a genuine micro-gap: refine both crossing edges, each bracketed by
+    # the nearest grid sample inside the band on its side of the peak (a
+    # gap wider than the grid step leaves the peak's neighbours outside)
     gap = np.flatnonzero(touch & (np.abs(tstar) > 2.0 + tangency_tol))
+    rows, peak_at = band[gap], idx[gap][:, None]
+    inside = sgn[gap][:, None] * gtr[rows] <= 2.0
+    cols = np.arange(m + 1)
+    left = np.where(inside & (cols < peak_at), cols, -1).max(axis=1)
+    right = np.where(inside & (cols > peak_at), cols, m + 1).min(axis=1)
+    lost = (left < 0) | (right > m)
+    if lost.any():
+        c = gap[lost][0]
+        raise ResolutionError(
+            f"micro-gap at {float(Estar[c])!r} reaches past its band's "
+            "tangency grid"
+        )
     two = np.tile(2.0 * sgn[gap], 2)
     ends = util.brentq(
         lambda x, lanes: tr_of(x) - two[lanes],
-        np.concatenate([aE[gap], Estar[gap]]),
-        np.concatenate([Estar[gap], bE[gap]]),
-        fa=np.concatenate([gtr[band[gap], idx[gap] - 1], tstar[gap]]) - two,
-        fb=np.concatenate([tstar[gap], gtr[band[gap], idx[gap] + 1]]) - two,
+        np.concatenate([gridE[rows, left], Estar[gap]]),
+        np.concatenate([Estar[gap], gridE[rows, right]]),
+        fa=np.concatenate([gtr[rows, left], tstar[gap]]) - two,
+        fb=np.concatenate([tstar[gap], gtr[rows, right]]) - two,
         **_EDGE_TOL).tolist()
     gap_ends = dict(zip(gap.tolist(), zip(ends[:gap.size], ends[gap.size:])))
     for c in np.flatnonzero(touch).tolist():

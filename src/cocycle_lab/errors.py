@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all modules."""
 
+from contextlib import contextmanager
+
 
 class CocycleLabError(Exception):
     """Base class for every error raised by this package."""
@@ -19,6 +21,18 @@ class NumericOverflowError(CocycleLabError):
 
 class ValidationError(CocycleLabError):
     """A descriptor or config violates a structural invariant."""
+
+
+@contextmanager
+def reading(what: str):
+    """Report a lookup or conversion failure while reading ``what`` from a
+    descriptor as a one-line ``ValidationError``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{what}: missing field {exc}") from None
+    except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 class ProjectionError(ValidationError):

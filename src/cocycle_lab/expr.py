@@ -5,17 +5,54 @@ circle potentials) and family trees over a pair (t, j) (parameter
 families of integer-indexed potentials).  Every node evaluates on numpy
 arrays and serializes to a canonical JSON dict, so deformation
 operators can stay symbolic instead of resampling.
+
+Codec contract: every node is a frozen dataclass deriving from ``Node``
+with a class attribute ``kind``; its field names are the JSON keys.
+``Node.to_json`` writes ``kind`` and then each field in order, child
+nodes and tuples of them recursively.  ``from_json`` looks ``kind`` up in
+the registry of its language (``_LANGUAGES``) and converts each field by
+its annotation: ``float``, ``int``, a child node of a language, or
+``tuple[<language>, ...]``; an absent field takes the dataclass default.
+A missing or malformed field raises ``ValidationError`` naming the kind
+and the field.  A new node is a dataclass with a ``kind`` plus an entry
+in ``_LANGUAGES``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import functools
+import typing
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
+
+# ---------------------------------------------------------------------------
+# node base and encoding
+# ---------------------------------------------------------------------------
+
+
+class Node:
+    """Base of every expression node; see the module docstring."""
+
+    kind: typing.ClassVar[str]
+
+    def to_json(self):
+        d = {"kind": self.kind}
+        for f in fields(self):
+            d[f.name] = _encode(getattr(self, f.name))
+        return d
+
+
+def _encode(v):
+    if isinstance(v, Node):
+        return v.to_json()
+    if isinstance(v, tuple):
+        return [_encode(t) for t in v]
+    return v
+
 
 # ---------------------------------------------------------------------------
 # smooth bump machinery
@@ -39,13 +76,14 @@ def smooth_ramp(s):
 
 
 @dataclass(frozen=True)
-class BumpProfile:
+class BumpProfile(Node):
     """Window profile used by the slide deformation.
 
     Vanishes off [-3/4, 7/4], equals 1 on [-1/4, 5/4], rises and falls
     through C-infinity ramps of width 1/2.
     """
 
+    kind = "bump_profile"
     lo_start: float = -0.75
     lo_end: float = -0.25
     hi_start: float = 1.25
@@ -61,18 +99,9 @@ class BumpProfile:
         down = smooth_ramp((self.hi_end - x) / (self.hi_end - self.hi_start))
         return up * down
 
-    def to_json(self):
-        return {
-            "kind": "bump_profile",
-            "lo_start": self.lo_start,
-            "lo_end": self.lo_end,
-            "hi_start": self.hi_start,
-            "hi_end": self.hi_end,
-        }
-
     @staticmethod
-    def from_json(d):
-        return BumpProfile(d["lo_start"], d["lo_end"], d["hi_start"], d["hi_end"])
+    def from_json(d) -> BumpProfile:
+        return from_json(BumpProfile, d)
 
 
 # ---------------------------------------------------------------------------
@@ -80,45 +109,36 @@ class BumpProfile:
 # ---------------------------------------------------------------------------
 
 
-class ScalarExpr:
-    """Base class; subclasses are frozen dataclasses with __call__ and to_json."""
-
-    def __call__(self, x):
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
+class ScalarExpr(Node):
+    """Base of the scalar language: nodes are called on x."""
 
 
 @dataclass(frozen=True)
 class Const(ScalarExpr):
+    kind = "const"
     value: float
 
     def __call__(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.value)
-
-    def to_json(self):
-        return {"kind": "const", "value": self.value}
 
 
 @dataclass(frozen=True)
 class Cos(ScalarExpr):
     """cos(2 pi (freq x + phase))."""
 
+    kind = "cos"
     freq: float
     phase: float = 0.0
 
     def __call__(self, x):
         return np.cos(2.0 * np.pi * (self.freq * np.asarray(x, dtype=float) + self.phase))
 
-    def to_json(self):
-        return {"kind": "cos", "freq": self.freq, "phase": self.phase}
-
 
 @dataclass(frozen=True)
 class Bump(ScalarExpr):
     """exp(1 - 1/(1 - s^2)) with s = (x - center)/width, zero for |s| >= 1."""
 
+    kind = "bump"
     center: float
     width: float
 
@@ -130,13 +150,11 @@ class Bump(ScalarExpr):
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
         return out
 
-    def to_json(self):
-        return {"kind": "bump", "center": self.center, "width": self.width}
-
 
 @dataclass(frozen=True)
 class Sum(ScalarExpr):
-    terms: tuple
+    kind = "sum"
+    terms: tuple[ScalarExpr, ...]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,35 +163,28 @@ class Sum(ScalarExpr):
             out = out + t(x)
         return out
 
-    def to_json(self):
-        return {"kind": "sum", "terms": [t.to_json() for t in self.terms]}
-
 
 @dataclass(frozen=True)
 class Scale(ScalarExpr):
+    kind = "scale"
     factor: float
     of: ScalarExpr
 
     def __call__(self, x):
         return self.factor * self.of(x)
 
-    def to_json(self):
-        return {"kind": "scale", "factor": self.factor, "of": self.of.to_json()}
-
 
 @dataclass(frozen=True)
 class Affine(ScalarExpr):
     """Reparameterization x -> of(a x + b)."""
 
+    kind = "affine"
     a: float
     b: float
     of: ScalarExpr
 
     def __call__(self, x):
         return self.of(self.a * np.asarray(x, dtype=float) + self.b)
-
-    def to_json(self):
-        return {"kind": "affine", "a": self.a, "b": self.b, "of": self.of.to_json()}
 
 
 @dataclass(frozen=True)
@@ -184,6 +195,7 @@ class CrumbleExpr(ScalarExpr):
     on [nN, 3nN], so the output is continuous and 3nN-periodic.
     """
 
+    kind = "crumble"
     n: int
     parent_period: float
     of: ScalarExpr
@@ -196,69 +208,31 @@ class CrumbleExpr(ScalarExpr):
         # honor the parent's circle identification even for non-periodic exprs
         return self.of(np.mod(arg, N))
 
-    def to_json(self):
-        return {
-            "kind": "crumble",
-            "n": self.n,
-            "parent_period": self.parent_period,
-            "of": self.of.to_json(),
-        }
-
-
-_SCALAR_KINDS = {}
-
-
-def scalar_from_json(d) -> ScalarExpr:
-    try:
-        kind = d["kind"]
-    except (TypeError, KeyError):
-        raise ValidationError(f"scalar expression needs a 'kind' field: {d!r}")
-    if kind == "const":
-        return Const(float(d["value"]))
-    if kind == "cos":
-        return Cos(float(d["freq"]), float(d.get("phase", 0.0)))
-    if kind == "bump":
-        return Bump(float(d["center"]), float(d["width"]))
-    if kind == "sum":
-        return Sum(tuple(scalar_from_json(t) for t in d["terms"]))
-    if kind == "scale":
-        return Scale(float(d["factor"]), scalar_from_json(d["of"]))
-    if kind == "affine":
-        return Affine(float(d["a"]), float(d["b"]), scalar_from_json(d["of"]))
-    if kind == "crumble":
-        return CrumbleExpr(int(d["n"]), float(d["parent_period"]), scalar_from_json(d["of"]))
-    raise ValidationError(f"unknown scalar expression kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # family expression trees over (t, j)
 # ---------------------------------------------------------------------------
 
 
-class FamilyExpr:
-    def __call__(self, t, j):
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
+class FamilyExpr(Node):
+    """Base of the family language: nodes are called on (t, j)."""
 
 
 @dataclass(frozen=True)
 class FConst(FamilyExpr):
+    kind = "fconst"
     value: float
 
     def __call__(self, t, j):
         t, j = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(j))
         return np.full(t.shape, self.value)
 
-    def to_json(self):
-        return {"kind": "fconst", "value": self.value}
-
 
 @dataclass(frozen=True)
 class TCos(FamilyExpr):
     """amp cos(2 pi (harmonic t / period + phase)); constant in j."""
 
+    kind = "tcos"
     amp: float
     period: float
     harmonic: int = 1
@@ -270,20 +244,12 @@ class TCos(FamilyExpr):
             2.0 * np.pi * (self.harmonic * t / self.period + self.phase)
         )
 
-    def to_json(self):
-        return {
-            "kind": "tcos",
-            "amp": self.amp,
-            "period": self.period,
-            "harmonic": self.harmonic,
-            "phase": self.phase,
-        }
-
 
 @dataclass(frozen=True)
 class JCos(FamilyExpr):
     """amp cos(2 pi (harmonic j / period + phase)); constant in t."""
 
+    kind = "jcos"
     amp: float
     period: int
     harmonic: int = 1
@@ -295,19 +261,11 @@ class JCos(FamilyExpr):
             2.0 * np.pi * (self.harmonic * np.asarray(j, dtype=float) / self.period + self.phase)
         )
 
-    def to_json(self):
-        return {
-            "kind": "jcos",
-            "amp": self.amp,
-            "period": self.period,
-            "harmonic": self.harmonic,
-            "phase": self.phase,
-        }
-
 
 @dataclass(frozen=True)
 class FSum(FamilyExpr):
-    terms: tuple
+    kind = "fsum"
+    terms: tuple[FamilyExpr, ...]
 
     def __call__(self, t, j):
         t, j = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(j))
@@ -316,34 +274,27 @@ class FSum(FamilyExpr):
             out = out + term(t, j)
         return out
 
-    def to_json(self):
-        return {"kind": "fsum", "terms": [t.to_json() for t in self.terms]}
-
 
 @dataclass(frozen=True)
 class FScale(FamilyExpr):
+    kind = "fscale"
     factor: float
     of: FamilyExpr
 
     def __call__(self, t, j):
         return self.factor * self.of(t, j)
 
-    def to_json(self):
-        return {"kind": "fscale", "factor": self.factor, "of": self.of.to_json()}
-
 
 @dataclass(frozen=True)
 class RepeatExpr(FamilyExpr):
     """Same values, integer period multiplied by n at the family level."""
 
+    kind = "repeat"
     n: int
     of: FamilyExpr
 
     def __call__(self, t, j):
         return self.of(t, j)
-
-    def to_json(self):
-        return {"kind": "repeat", "n": self.n, "of": self.of.to_json()}
 
 
 @dataclass(frozen=True)
@@ -353,6 +304,7 @@ class TwistExpr(FamilyExpr):
     n0, n1 are the parent periods; the child integer period is n n1.
     """
 
+    kind = "twist"
     n: int
     n0: float
     n1: int
@@ -367,15 +319,6 @@ class TwistExpr(FamilyExpr):
         l = np.mod(jm, self.n1)
         return self.of(t + self.n0 * np.asarray(k, dtype=float) / self.n, l)
 
-    def to_json(self):
-        return {
-            "kind": "twist",
-            "n": self.n,
-            "n0": self.n0,
-            "n1": self.n1,
-            "of": self.of.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class SlideExpr(FamilyExpr):
@@ -385,6 +328,7 @@ class SlideExpr(FamilyExpr):
     sits at parameter time n n0 and has the shape of ``bump``.
     """
 
+    kind = "slide"
     delta: float
     n: int
     n0: float
@@ -403,22 +347,12 @@ class SlideExpr(FamilyExpr):
         )
         return self.of(t + shift, np.mod(l, self.n1))
 
-    def to_json(self):
-        return {
-            "kind": "slide",
-            "delta": self.delta,
-            "n": self.n,
-            "n0": self.n0,
-            "n1": self.n1,
-            "bump": self.bump.to_json(),
-            "of": self.of.to_json(),
-        }
-
 
 @dataclass(frozen=True)
 class SamplingExpr(FamilyExpr):
     """Sampling change of variables: reads the parent at (t - j a, j)."""
 
+    kind = "sampling"
     a_num: int
     a_den: int
     of: FamilyExpr
@@ -434,41 +368,58 @@ class SamplingExpr(FamilyExpr):
         a = self.a_num / self.a_den
         return self.of(t - np.asarray(j, dtype=float) * a, j)
 
-    def to_json(self):
-        return {
-            "kind": "sampling",
-            "a_num": self.a_num,
-            "a_den": self.a_den,
-            "of": self.of.to_json(),
-        }
+
+# ---------------------------------------------------------------------------
+# decoding
+# ---------------------------------------------------------------------------
+
+# language base -> (name in messages, registry of its kinds)
+_LANGUAGES = {
+    ScalarExpr: ("scalar expression", {c.kind: c for c in (
+        Const, Cos, Bump, Sum, Scale, Affine, CrumbleExpr)}),
+    FamilyExpr: ("family expression", {c.kind: c for c in (
+        FConst, TCos, JCos, FSum, FScale, RepeatExpr, TwistExpr, SlideExpr,
+        SamplingExpr)}),
+    BumpProfile: ("bump profile", {BumpProfile.kind: BumpProfile}),
+}
+
+
+@functools.cache
+def _field_types(cls):
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+def _decode_field(tp, v):
+    if tp is float or tp is int:
+        return tp(v)
+    if typing.get_origin(tp) is tuple:
+        return tuple(from_json(typing.get_args(tp)[0], t) for t in v)
+    return from_json(tp, v)
+
+
+def from_json(language, d):
+    """Rebuild a node of ``language`` (a key of ``_LANGUAGES``) from its dict."""
+    name, kinds = _LANGUAGES[language]
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind is None:
+        raise ValidationError(f"{name} needs a 'kind' field: {d!r}")
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown {name} kind {kind!r}")
+    values = {}
+    for f, tp in _field_types(cls):
+        if f.name in d:
+            with reading(f"{kind} field {f.name!r}"):
+                values[f.name] = _decode_field(tp, d[f.name])
+        elif f.default is MISSING:
+            raise ValidationError(f"{kind} needs a {f.name!r} field")
+    return cls(**values)
+
+
+def scalar_from_json(d) -> ScalarExpr:
+    return from_json(ScalarExpr, d)
 
 
 def family_from_json(d) -> FamilyExpr:
-    try:
-        kind = d["kind"]
-    except (TypeError, KeyError):
-        raise ValidationError(f"family expression needs a 'kind' field: {d!r}")
-    if kind == "fconst":
-        return FConst(float(d["value"]))
-    if kind == "tcos":
-        return TCos(float(d["amp"]), float(d["period"]), int(d.get("harmonic", 1)),
-                    float(d.get("phase", 0.0)))
-    if kind == "jcos":
-        return JCos(float(d["amp"]), int(d["period"]), int(d.get("harmonic", 1)),
-                    float(d.get("phase", 0.0)))
-    if kind == "fsum":
-        return FSum(tuple(family_from_json(t) for t in d["terms"]))
-    if kind == "fscale":
-        return FScale(float(d["factor"]), family_from_json(d["of"]))
-    if kind == "repeat":
-        return RepeatExpr(int(d["n"]), family_from_json(d["of"]))
-    if kind == "twist":
-        return TwistExpr(int(d["n"]), float(d["n0"]), int(d["n1"]), family_from_json(d["of"]))
-    if kind == "slide":
-        return SlideExpr(
-            float(d["delta"]), int(d["n"]), float(d["n0"]), int(d["n1"]),
-            BumpProfile.from_json(d["bump"]), family_from_json(d["of"]),
-        )
-    if kind == "sampling":
-        return SamplingExpr(int(d["a_num"]), int(d["a_den"]), family_from_json(d["of"]))
-    raise ValidationError(f"unknown family expression kind {kind!r}")
+    return from_json(FamilyExpr, d)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .expr import (
     Bump,
     Const,
@@ -321,27 +321,28 @@ def potential_from_json(d):
         kind = d["kind"]
     except (TypeError, KeyError):
         raise ValidationError(f"descriptor needs a 'kind' field: {d!r}")
-    if kind == "continuum-periodic":
-        bases = {k: scalar_from_json(v) for k, v in d.get("bases", {}).items()}
-        segments = tuple(_segment_from_json(s) for s in d["segments"])
-        return ContinuumPotential(
-            period=float(d["period"]),
-            segments=segments,
-            bases=bases,
-            zero_nbhd=float(d.get("zero_nbhd", 0.0)),
-        )
-    if kind == "discrete-family":
-        exact = d.get("n0_exact")
-        return DiscreteFamily(
-            n0=float(d["n0"]),
-            n1=int(d["n1"]),
-            expr=family_from_json(d["expr"]),
-            n0_exact=Fraction(exact[0], exact[1]) if exact is not None else None,
-        )
-    if kind == "discrete-periodic":
-        return DiscretePotential(tuple(float(v) for v in d["values"]))
-    if kind == "circle-potential":
-        return CirclePotential(int(d["period"]), scalar_from_json(d["expr"]))
+    with reading(f"{kind} descriptor"):
+        if kind == "continuum-periodic":
+            bases = {k: scalar_from_json(v) for k, v in d.get("bases", {}).items()}
+            segments = tuple(_segment_from_json(s) for s in d["segments"])
+            return ContinuumPotential(
+                period=float(d["period"]),
+                segments=segments,
+                bases=bases,
+                zero_nbhd=float(d.get("zero_nbhd", 0.0)),
+            )
+        if kind == "discrete-family":
+            exact = d.get("n0_exact")
+            return DiscreteFamily(
+                n0=float(d["n0"]),
+                n1=int(d["n1"]),
+                expr=family_from_json(d["expr"]),
+                n0_exact=Fraction(exact[0], exact[1]) if exact is not None else None,
+            )
+        if kind == "discrete-periodic":
+            return DiscretePotential(tuple(float(v) for v in d["values"]))
+        if kind == "circle-potential":
+            return CirclePotential(int(d["period"]), scalar_from_json(d["expr"]))
     raise ValidationError(f"unknown descriptor kind {kind!r}")
 
 

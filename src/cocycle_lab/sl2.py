@@ -20,7 +20,6 @@ from .errors import DomainError, NotEllipticError, NumericOverflowError
 ELLIPTIC_MARGIN = 1e-12
 
 _DET_TOL = 1e-9
-_RENORM_LIMIT = 1e-3
 # Dekker's splitting constant 2^27 + 1: splits a double into two halves
 # whose products are exact
 _SPLIT = 134217729.0
@@ -81,17 +80,8 @@ class Mat2:
     def __post_init__(self):
         _require_finite(self.a, self.b, self.c, self.d)
         det = self.a * self.d - self.b * self.c
-        if det <= 0.0:
-            raise DomainError(f"determinant must be positive, got {det!r}")
-        err = abs(det - 1.0)
-        if err > _DET_TOL:
-            if err > _RENORM_LIMIT:
-                raise DomainError(f"determinant {det!r} too far from 1 to renormalize")
-            s = 1.0 / math.sqrt(det)
-            object.__setattr__(self, "a", self.a * s)
-            object.__setattr__(self, "b", self.b * s)
-            object.__setattr__(self, "c", self.c * s)
-            object.__setattr__(self, "d", self.d * s)
+        if abs(det - 1.0) > _DET_TOL:
+            raise DomainError(f"determinant {det!r} is not 1 within {_DET_TOL!r}")
 
     @staticmethod
     def identity() -> "Mat2":

@@ -12,7 +12,7 @@ symbolic deformation operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,6 +25,7 @@ from .errors import (
     ProjectionError,
     RealizationError,
     ValidationError,
+    reading,
 )
 from .expr import smooth_ramp
 from .potentials import ContinuumPotential, DiscreteFamily, potential_from_json
@@ -60,14 +61,7 @@ class Window:
         return out
 
     def to_json(self):
-        return {
-            "start": self.start,
-            "length": self.length,
-            "depth": self.depth,
-            "beta": self.beta,
-            "extra_time": self.extra_time,
-            "block": self.block,
-        }
+        return asdict(self)
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
@@ -725,31 +719,32 @@ def tower_from_json(d: dict) -> TowerStage:
     if d.get("kind") != "tower" or not d.get("stages"):
         raise ValidationError("not a tower descriptor")
     stage = None
-    for rec in d["stages"]:
-        windows = tuple(
-            Window(
-                start=float(w["start"]),
-                length=float(w["length"]),
-                depth=float(w["depth"]),
-                beta=float(w["beta"]),
-                extra_time=float(w["extra_time"]),
-                block=int(w["block"]),
+    with reading("tower descriptor"):
+        for rec in d["stages"]:
+            windows = tuple(
+                Window(
+                    start=float(w["start"]),
+                    length=float(w["length"]),
+                    depth=float(w["depth"]),
+                    beta=float(w["beta"]),
+                    extra_time=float(w["extra_time"]),
+                    block=int(w["block"]),
+                )
+                for w in rec.get("windows", ())
             )
-            for w in rec.get("windows", ())
-        )
-        pot = None
-        if stage is None:
-            pot = potential_from_json(rec["potential"])
-            if not isinstance(pot, ContinuumPotential):
-                raise ValidationError("tower roots carry continuum potentials")
-        stage = TowerStage(
-            depth=int(rec["depth"]),
-            multiplicity=int(rec["multiplicity"]),
-            arc_length=float(rec["arc_length"]),
-            period=float(rec["period"]),
-            windows=windows,
-            parent=stage,
-            potential=pot,
-            meta=dict(rec.get("meta", {})),
-        )
+            pot = None
+            if stage is None:
+                pot = potential_from_json(rec["potential"])
+                if not isinstance(pot, ContinuumPotential):
+                    raise ValidationError("tower roots carry continuum potentials")
+            stage = TowerStage(
+                depth=int(rec["depth"]),
+                multiplicity=int(rec["multiplicity"]),
+                arc_length=float(rec["arc_length"]),
+                period=float(rec["period"]),
+                windows=windows,
+                parent=stage,
+                potential=pot,
+                meta=dict(rec.get("meta", {})),
+            )
     return stage

@@ -161,6 +161,42 @@ def test_wrong_descriptor_kind_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _broken_bump_width(doc):
+    del doc["bases"]["bump"]["of"]["width"]
+
+
+def _broken_tcos_amp(doc):
+    doc["expr"]["terms"][0]["amp"] = "x"
+
+
+def _broken_values(doc):
+    del doc["values"]
+
+
+def _broken_arc_length(doc):
+    del doc["stages"][0]["arc_length"]
+
+
+@pytest.mark.parametrize("source, breaks, field", [
+    (lambda: load_descriptor(desc("v0.json")), _broken_bump_width, "width"),
+    (lambda: load_descriptor(desc("cos2.json")), _broken_tcos_amp, "amp"),
+    (lambda: potentials.DiscretePotential((0.5, -0.5)), _broken_values, "values"),
+    (lambda: solenoid.base_stage(load_descriptor(desc("v0.json"))),
+     _broken_arc_length, "arc_length"),
+], ids=["bump-width", "tcos-amp", "discrete-values", "tower-arc_length"])
+def test_malformed_fields_are_usage_errors(tmp_path, capsys, source, breaks, field):
+    doc = cli.descriptor_json(source())
+    breaks(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = (["tower", "trace", "--in", str(path), "--tmax", "1"]
+            if doc["kind"] == "tower" else ["bands", "--potential", str(path)])
+    assert dispatch(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(field) in err
+
+
 def test_domain_failure_exits_one(tmp_path, capsys):
     # composite pipeline collapse: the window sits inside a spectral gap
     rc = dispatch(["verify", "asd12", "--family", desc("cos2.json"),
@@ -372,8 +408,14 @@ def test_solver_failures_exit_cleanly(tmp_path, monkeypatch, capsys):
              "0.05", "--N", "4", "--n", "2", "--eps0", "0.4",
              "--out", str(tmp_path / "t.json")]
     with monkeypatch.context() as m:
+        # a micro-gap wider than the tangency grid step is bracketed by the
+        # nearest inside samples, so its edges are found
         m.setattr(cyc.ContinuumCocycle, "trace", _gap_bump_trace)
-        assert dispatch(bands) == 1
+        assert dispatch(bands) == 0
+    rows = read(str(tmp_path / "b.csv")).splitlines()[2:]
+    half = 0.4 * np.sqrt(np.log(2.0))
+    edges = [float(v) for row in rows for v in row.split(",")]
+    assert edges == pytest.approx([-4.0, 4.5 - half, 4.5 + half, 12.0], abs=1e-12)
     with monkeypatch.context() as m:
         m.setattr(solenoid, "ramp_profile",
                   lambda s, beta: np.full(np.shape(s), np.nan))
@@ -382,10 +424,9 @@ def test_solver_failures_exit_cleanly(tmp_path, monkeypatch, capsys):
         m.setitem(util.brentq.__kwdefaults__, "maxiter", 2)
         assert dispatch(tower) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 3
-    assert "does not change sign" in lines[0]
-    assert "NaN" in lines[1]
-    assert "did not converge in 2 iterations" in lines[2]
+    assert len(lines) == 2
+    assert "NaN" in lines[0]
+    assert "did not converge in 2 iterations" in lines[1]
     assert all(line.startswith("error: root ") for line in lines)
     # unpatched, both commands succeed
     assert dispatch(bands) == 0 and dispatch(tower) == 0

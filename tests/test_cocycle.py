@@ -461,6 +461,21 @@ class TestBandSpectrum:
         assert len(bs) == 35
         assert len(calls) <= 100
 
+    def test_micro_gap_wider_than_tangency_grid(self):
+        # near E = -0.77 the padded well has a micro-gap whose left edge
+        # lies more than one tangency grid step left of the peak, so the
+        # peak's neighbour is no bracket for that edge
+        sysm = ContinuumCocycle(deform.pad(cosine_well_potential(),
+                                           deform.PaddingSpec(0.1, 2, 2)))
+        bs = band_spectrum(sysm, -2.0, 30.0)
+        assert len(bs) == 43
+        edges = np.array([e for b in bs.bands for e in (b.lo, b.hi)])
+        assert np.all(np.diff(edges) >= 0.0)
+        inner = edges[(edges > -2.0) & (edges < 30.0)]
+        assert np.max(np.abs(np.abs(sysm.trace(inner)) - 2.0)) <= 1e-10
+        near = [b for b in bs.bands if -0.78 < b.lo < -0.76 or -0.78 < b.hi < -0.76]
+        assert len(near) == 2 and near[0].hi < near[1].lo
+
 
 class TestIdsAndDensity:
     def test_free_continuum_ids(self):

@@ -126,9 +126,12 @@ class TestDomainChecks:
         with pytest.raises(DomainError):
             energy_diag(-1.0)
 
-    def test_det_renormalization(self):
-        A = Mat2(1.0 + 1e-7, 0.0, 0.0, 1.0)
-        assert abs(A.det - 1.0) <= 1e-9
+    def test_det_drift_rejected(self):
+        # nothing renormalizes: drift past the tolerance is an error, and
+        # entries within it are kept as given
+        with pytest.raises(DomainError):
+            Mat2(1.0 + 1e-6, 0.0, 0.0, 1.0)
+        assert Mat2(1.0 + 1e-10, 0.0, 0.0, 1.0).a == 1.0 + 1e-10
 
     def test_det_rejects_far(self):
         with pytest.raises(DomainError):
