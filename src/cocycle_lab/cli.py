@@ -159,41 +159,38 @@ def _write_csv(path: str, command: str, params: dict, header, rows) -> None:
 QUANTITIES = ("trace", "ids", "lyapunov", "density", "growth")
 
 
-def _band_interior(bandset, e: float) -> bool:
-    where, m = bandset.locate(e)
-    if where != "band":
-        return False
-    band = bandset.bands[m]
-    return band.lo < e < band.hi
-
-
 def _bands_for(system, e_min: float, e_max: float, grid: int, tol: float):
     if system.kind == "discrete":
         return cyc.discrete_band_spectrum(system, grid=grid, tangency_tol=tol)
     return cyc.band_spectrum(system, e_min, e_max, grid=grid, tangency_tol=tol)
 
 
-def _quantity_value(system, bandset, quantity: str, e: float, samples: int):
-    """(energy, value) row, or None where the quantity is undefined."""
-    if quantity == "trace":
-        return (e, float(system.trace(e)))
-    if quantity == "ids":
-        return (e, float(cyc.ids(system, e, bandset)))
-    if quantity == "lyapunov":
-        return (e, float(cyc.lyapunov(system, e)))
-    if not _band_interior(bandset, e):
-        return None
-    if quantity == "density":
-        return (e, float(cyc.density(system, e)))
-    if quantity == "growth":
-        return (e, float(cyc.growth_value(system, e, samples=samples).value))
-    raise UsageError(f"unknown quantity {quantity!r}")
-
-
 def _quantity_rows(system, bandset, quantity, energies, samples):
-    rows = [_quantity_value(system, bandset, quantity, float(e), samples)
-            for e in energies]
-    return [r for r in rows if r is not None]
+    """(energy, value) rows over the energy grid.  Density and growth are
+    defined strictly inside bands only, so other energies get no row.
+    Every quantity but growth is one call on the whole grid."""
+    if quantity == "trace":
+        values = system.trace(energies)
+    elif quantity == "ids":
+        values = cyc.ids(system, energies, bandset)
+    elif quantity == "lyapunov":
+        values = cyc.lyapunov(system, energies)
+    else:
+        lo = np.array([b.lo for b in bandset.bands])
+        hi = np.array([b.hi for b in bandset.bands])
+        inside = ((lo < energies[:, None]) & (energies[:, None] < hi)).any(axis=1)
+        energies = energies[inside]
+        if not energies.size:
+            values = []
+        elif quantity == "density":
+            values = cyc.fixed_point_density(system, energies)
+            # an energy on a band edge to rounding (where the scanned edge
+            # and the trace disagree) has a divergent density: no row
+            energies, values = (v[np.isfinite(values)] for v in (energies, values))
+        else:
+            values = [cyc.growth_value(system, float(e), samples=samples).value
+                      for e in energies]
+    return [(float(e), float(v)) for e, v in zip(energies, values)]
 
 
 def _sweep_cache_key(params: dict) -> str:

@@ -5,7 +5,12 @@ Continuum states are (u', u) columns evolving by dA/ds = [[0, V-E], [1, 0]] A;
 discrete states are (u(j), u(j-1)) columns advanced by [[E - v_j, -1], [1, 0]].
 Both cocycle classes expose the same surface: prefix transfer from time 0,
 transfer between times, period monodromy from any base point, trace and
-trace derivative over energy arrays.
+its complex-step derivative over energy arrays.
+
+Density of states, growth, the completeness integral (and labverify's
+crooked metric) are read off one object for both kinds, the invariant section
+(section_points): the upper-half-plane fixed point of the monodromy,
+carried along the period by the prefix transfers, batched over energies.
 
 Every continuum propagator is a product of closed-form exponentials
 c I + s Omega of traceless matrices, with (c, s) = (cos w, sin w / w) entire
@@ -52,7 +57,8 @@ _PROBE_OFFSETS = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 # identifies the numerics behind every piece propagator; results computed
 # under another engine must not be served from a cache
 ENGINE = (f"gauss-magnus4 step-doubling tol={_TOL!r} "
-          f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS}")
+          f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS} "
+          "density=invariant-section")
 # energies per batch, and energy-steps per batch, bound the stacks in memory
 _CHUNK = 256
 _STACK = 2 ** 18
@@ -274,6 +280,34 @@ def _times_period_powers(M, ks, A):
     return A
 
 
+# The cocycle classes share these bodies.  Each class assigns them in its
+# own body, so that every method is found in the class dict, where the
+# benchmark tracer (perfbench/tracing.py) looks for it.
+
+
+def _prefix(self, E, t):
+    """A(E, 0, t) for one time (continuum) or site (discrete) t of either
+    sign; t may lie past the period."""
+    return self.prefix_grid(E, [t])[..., 0, :, :]
+
+
+def _trace(self, E):
+    """Monodromy trace over real or complex energies."""
+    Earr, scalar = _as_batch(E)
+    out = sl2.tr2(self.monodromy(Earr))
+    return float(out[0]) if scalar and not np.iscomplexobj(out) else (
+        out[0] if scalar else out)
+
+
+def _trace_derivative(self, E, h: float = 1e-100):
+    """d(trace)/dE by complex step: both cocycles are entire in E, so
+    Im tr(E + ih) / h is the derivative to rounding, with no subtraction."""
+    Earr, scalar = _as_batch(E)
+    tr = self.trace(Earr.astype(complex) + 1j * h)
+    out = np.imag(tr) / h
+    return float(out[0]) if scalar else out
+
+
 # ---------------------------------------------------------------------------
 # continuum cocycle
 # ---------------------------------------------------------------------------
@@ -368,9 +402,7 @@ class ContinuumCocycle:
             out[:, rows] = sl2.mul2(blk, entries[idx[rows]].swapaxes(0, 1))
         return out
 
-    def prefix(self, E, t):
-        """A(E, 0, t) for scalar t (may exceed the period or be negative)."""
-        return self.prefix_grid(E, [t])[..., 0, :, :]
+    prefix = _prefix
 
     def prefix_grid(self, E, t_grid):
         """A(E, 0, t) for an ascending array of times; returns (K, Nt, 2, 2)."""
@@ -421,18 +453,8 @@ class ContinuumCocycle:
         out = self._chunked(Earr, run)
         return out[0] if scalar else out
 
-    def trace(self, E):
-        Earr, scalar = _as_batch(E)
-        out = sl2.tr2(self.monodromy(Earr))
-        return float(out[0]) if scalar and not np.iscomplexobj(out) else (
-            out[0] if scalar else out)
-
-    def trace_derivative(self, E, h: float = 1e-100):
-        """d(trace)/dE by complex step; accurate and subtraction-free."""
-        Earr, scalar = _as_batch(E)
-        tr = self.trace(Earr.astype(complex) + 1j * h)
-        out = np.imag(tr) / h
-        return float(out[0]) if scalar else out
+    trace = _trace
+    trace_derivative = _trace_derivative
 
     def scan_range(self, e_max: float):
         lo = -self.pot.sup_norm_estimate() - 0.25
@@ -490,9 +512,7 @@ class DiscreteCocycle:
             out[j + 1] = sl2.mul2(steps[:, j], out[j])
         return out
 
-    def prefix(self, E, j):
-        """A(E, 0, j) = S_{j-1} ... S_0 for integer j of either sign."""
-        return self.prefix_grid(E, [j])[..., 0, :, :]
+    prefix = _prefix
 
     def prefix_grid(self, E, sites):
         """A(E, 0, j) for an array of integers; returns (K, len, 2, 2)."""
@@ -525,29 +545,8 @@ class DiscreteCocycle:
     def monodromy(self, E, j0=0):
         return self.transfer(E, int(j0), int(j0) + self.sites)
 
-    def trace(self, E):
-        Earr, scalar = _as_batch(E)
-        out = sl2.tr2(self.monodromy(Earr))
-        return float(out[0]) if scalar else out
-
-    def trace_derivative(self, E):
-        """Exact derivative of the monodromy trace by the product rule."""
-        Earr, scalar = _as_batch(E)
-        n = self.sites
-        K = Earr.shape[0]
-        prefix = self._prefix_table(Earr)
-        steps = step_matrices(Earr, np.asarray(self.pot.values))
-        suffix = np.empty((n, K, 2, 2))
-        cur = np.broadcast_to(np.eye(2), (K, 2, 2))
-        for j in range(n - 1, -1, -1):
-            suffix[j] = cur
-            cur = sl2.mul2(cur, steps[:, j])
-        # d(step)/dE = [[1,0],[0,0]], so each term contributes (P Q)[0,0]
-        out = np.zeros(K)
-        for j in range(n):
-            PQ = sl2.mul2(prefix[j], suffix[j])
-            out += PQ[:, 0, 0]
-        return float(out[0]) if scalar else out
+    trace = _trace
+    trace_derivative = _trace_derivative
 
     def scan_range(self, margin: float = 0.25):
         vals = np.asarray(self.pot.values)
@@ -581,17 +580,6 @@ class BandSet:
 
     def __len__(self):
         return len(self.bands)
-
-    def locate(self, E: float):
-        """('band', m) if E lies in band m, else ('gap', m) with m bands below."""
-        m = 0
-        for i, b in enumerate(self.bands):
-            if E < b.lo:
-                return ("gap", i)
-            if E <= b.hi:
-                return ("band", i)
-            m = i + 1
-        return ("gap", m)
 
     def to_json(self):
         return {
@@ -859,89 +847,108 @@ def rotation_angle_at(system, E):
     return float(th[0]) if scalar else th
 
 
+def section_points(system, E, times, margin: float = 0.0):
+    """Invariant section z(E, t) = A(E, 0, t) . u(E) over a 1-d energy batch.
+
+    u(E) is the upper-half-plane fixed point of the monodromy and A(E, 0, t)
+    the prefix transfer to each time (continuum) or site (discrete) t, so
+    z(E, t) is the fixed point of the monodromy based at t.  Returns a
+    complex (K, len(times)) array, nan on the energies with
+    |trace| >= 2 - margin.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        M = system.monodromy(E)
+        u = np.where(np.abs(sl2.tr2(M)) < 2.0 - margin, sl2.fixed_points2(M),
+                     np.nan)
+        pref = system.prefix_grid(E, times)
+        return sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
+
+
 def ids(system, E, bandset: BandSet):
     """Integrated density of states per unit length (continuum) or site.
 
     Inside band m the value interpolates between m/period and
     (m+1)/period through the monodromy rotation angle; on gaps it is
-    locally constant.  Works on scalars and arrays.
+    locally constant.  Works on scalars and arrays; one ``monodromy`` call
+    serves every band-interior energy.
     """
     Earr, scalar = _as_batch(E)
-    out = np.empty(Earr.shape[0])
+    Earr = Earr.astype(float)
     P = bandset.period
-    for i, e in enumerate(Earr):
-        where, m = bandset.locate(float(e))
-        if where == "gap":
-            out[i] = m / P
-            continue
-        band = bandset.bands[m]
-        if band.lo_sign == 0:
-            raise ValidationError(
-                "band was clipped by the scan range; rescan from below the spectrum"
-            )
-        # edge values are exact; interior values use the rotation angle
-        if e <= band.lo or e >= band.hi:
-            out[i] = (m if e <= band.lo else m + 1) / P
-            continue
-        M = system.monodromy(np.array([float(e)]))
-        tr = float(sl2.tr2(M)[0])
-        if abs(tr) >= 2.0 - sl2.ELLIPTIC_MARGIN:
-            d_lo = e - band.lo
-            d_hi = band.hi - e
-            out[i] = (m if d_lo <= d_hi else m + 1) / P
-            continue
-        theta = float(sl2.rotation_angles2(M)[0])
+    lo, hi, lo_sign = (np.array([getattr(b, f) for b in bandset.bands])
+                       for f in ("lo", "hi", "lo_sign"))
+    # m bands lie wholly below E; E is in band m once it reaches its lo
+    m = np.searchsorted(hi, Earr, side="left")
+    lo_m, hi_m = np.append(lo, np.inf)[m], np.append(hi, np.inf)[m]
+    inband = Earr >= lo_m
+    if np.any(lo_sign[m[inband]] == 0):
+        raise ValidationError(
+            "band was clipped by the scan range; rescan from below the spectrum"
+        )
+    # gaps and band edges are exact; interior values use the rotation angle
+    above_lo = inband & (Earr > lo_m)
+    out = (m + (above_lo & (Earr >= hi_m))) / P
+    inner = np.flatnonzero(above_lo & (Earr < hi_m))
+    if inner.size:
+        e, mi = Earr[inner], m[inner]
+        M = system.monodromy(e)
+        with np.errstate(invalid="ignore"):
+            theta = sl2.rotation_angles2(M)
+        rising = lo_sign[mi] >= 0
         if system.kind == "continuum":
-            s = 2.0 * theta if band.lo_sign >= 0 else 2.0 * theta - 1.0
+            s = np.where(rising, 2.0 * theta, 2.0 * theta - 1.0)
         else:
-            s = 2.0 * (1.0 - theta) if band.lo_sign >= 0 else 1.0 - 2.0 * theta
-        s = min(max(s, 0.0), 1.0)
-        out[i] = (m + s) / P
+            s = np.where(rising, 2.0 * (1.0 - theta), 1.0 - 2.0 * theta)
+        s = np.clip(s, 0.0, 1.0)
+        # too close to an edge for the angle: take the nearer edge's value
+        near = np.abs(sl2.tr2(M)) >= 2.0 - sl2.ELLIPTIC_MARGIN
+        s = np.where(near, e - lo[mi] > hi[mi] - e, s)
+        out[inner] = (mi + s) / P
     return float(out[0]) if scalar else out
 
 
-def density(system, E, bandset: BandSet = None, *, t_samples: int = 512,
-            fd_step: float = 1e-6):
+def density(system, E, *, t_samples: int = 512):
     """Density of states dN/dE at energies strictly inside bands.
 
-    Continuum: fixed_point_density over the whole batch.
-    Discrete: finite difference of the rotation angle.
+    dN/dE = (1 / 2 pi) mean w(z) over the invariant section z, with
+    w = 1 / Im z over t_samples times (continuum) or w = |z|^2 / Im z over
+    the n sites (discrete); see fixed_point_density.  One batched call for
+    all energies; raises NotEllipticError if an energy is not inside a
+    band.
     """
     Earr, scalar = _as_batch(E)
-    if system.kind == "continuum":
-        out = fixed_point_density(system, Earr.astype(float), t_samples)
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            raise NotEllipticError(f"energy {Earr[bad[0]]!r} is not inside a band")
-    else:
-        n = system.sites
-        out = np.empty(Earr.shape[0])
-        for i, e in enumerate(Earr):
-            h = fd_step * max(1.0, abs(float(e)))
-            th_p = rotation_angle_at(system, float(e) + h)
-            th_m = rotation_angle_at(system, float(e) - h)
-            dth = th_p - th_m
-            # guard against wrap-around of the angle representative
-            if dth > 0.5:
-                dth -= 1.0
-            elif dth < -0.5:
-                dth += 1.0
-            out[i] = 2.0 * abs(dth / (2.0 * h)) / n
+    out = fixed_point_density(system, Earr.astype(float), t_samples)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise NotEllipticError(f"energy {Earr[bad[0]]!r} is not inside a band")
     return float(out[0]) if scalar else out
 
 
 def fixed_point_density(system, E, t_samples: int = 512):
-    """Continuum dN/dE over a 1-d energy batch; nan outside the bands.
+    """dN/dE over a 1-d energy batch from the invariant section; nan
+    outside the bands.
 
-    Averages 1/(2 pi Im u(E, t)) over t_samples times in the period, where
-    u(E, t) is the elliptic fixed point of the monodromy based at t.
+    With z = section_points(system, E, .) the density is a period average
+    of a per-kind weight:
+      continuum  dN/dE = (1 / 2 pi) mean_t 1 / Im z(E, t), over t_samples
+                 equally spaced times t in [0, period);
+      discrete   dN/dE = (1 / 2 pi) mean_j |z(E, j)|^2 / Im z(E, j), over
+                 the sites j = 0 .. n-1.
+    Both are exact up to the time sampling of the continuum average: the
+    weight is the squared modulus of the Bloch solution normalized to unit
+    Wronskian, u for the continuum state (u', u) and u(j) for the discrete
+    state (u(j), u(j-1)), and its period mean is the rotation number's
+    energy derivative (Johnson & Moser, Commun. Math. Phys. 84, 1982).
     """
+    if system.kind == "continuum":
+        times = np.linspace(0.0, system.period, t_samples, endpoint=False)
+    else:
+        times = np.arange(system.sites)
+    z = section_points(system, E, times)
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = sl2.fixed_points2(system.monodromy(E))
-        grid = np.linspace(0.0, system.period, t_samples, endpoint=False)
-        pref = system.prefix_grid(E, grid)
-        us = sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
-        return np.mean(1.0 / us.imag, axis=1) / (2.0 * np.pi)
+        weight = 1.0 / z.imag if system.kind == "continuum" else (
+            (z.real * z.real + z.imag * z.imag) / z.imag)
+        return np.mean(weight, axis=1) / (2.0 * np.pi)
 
 
 def lyapunov(system, E):
@@ -979,23 +986,18 @@ def growth_value(system, E: float, t0: float = 0.0, samples: int = 2048) -> Grow
     from the most contracted direction at t0, recurrent rotation phases
     push the orbit up to the worst frame discrepancy.
     """
-    Earr = np.array([float(E)])
-    M = system.monodromy(Earr)
-    tr = float(sl2.tr2(M)[0])
-    if abs(tr) >= 2.0 - sl2.ELLIPTIC_MARGIN:
-        raise NotEllipticError(f"energy {E!r} is not elliptic")
-    u0 = sl2.fixed_points2(M)[0]
     if system.kind == "continuum":
         grid = np.linspace(0.0, system.period, samples, endpoint=False)
     else:
         grid = np.arange(system.sites)
-    pref = system.prefix_grid(Earr, grid)[0]
-    us = sl2.moebius2(pref, np.full(grid.shape, u0))
-    dists = sl2.hyp_dist2(us, np.full(grid.shape, 1j))
-    # base distance at t0 via its own prefix (t0 need not be on the grid)
-    A0 = system.prefix(Earr, t0)[0]
-    ut0 = sl2.moebius2(A0[None], np.array([u0]))[0]
-    d0 = float(sl2.hyp_dist2(np.array([ut0]), np.array([1j]))[0])
+    # the base point t0 need not be on the grid: it rides along as one more
+    # time
+    z = section_points(system, np.array([float(E)]), np.append(grid, t0),
+                       margin=sl2.ELLIPTIC_MARGIN)[0]
+    if np.isnan(z[0]):
+        raise NotEllipticError(f"energy {E!r} is not elliptic")
+    dists = sl2.hyp_dist2(z[:-1], np.full(grid.shape, 1j))
+    d0 = float(sl2.hyp_dist2(z[-1], 1j))
     k = int(np.argmax(dists))
     sup_d = float(dists[k])
     return GrowthReport(
@@ -1089,19 +1091,22 @@ def spectral_parseval(system: DiscreteCocycle, bandset: BandSet, n: int,
                       order: int = 48) -> float:
     """(1/2pi) integral over all bands of |u(n)|^2 + |u(n-1)|^2 dE.
 
-    For the normalized Bloch pair this is the diagonal completeness
-    integral and should equal 1 at every site n.
+    For the Bloch pair normalized to unit Wronskian (bloch_pair) this is
+    the diagonal completeness integral and should equal 1 at every site n.
+    With z_n = section_points(system, E, [n]) = u(n) / u(n-1), the
+    integrand is (|z_n|^2 + 1) / (2 Im z_n); it is evaluated on the edge
+    quadrature nodes of all bands at once.
     """
-    total = 0.0
-    for band in bandset.bands:
-        Es, Ws = _edge_quad_nodes(band, order)
-        vals = np.empty(Es.shape[0])
-        for i, e in enumerate(Es):
-            wave = bloch_pair(system, float(e))
-            x = wave.states(system, float(e), np.array([n]))[0]
-            vals[i] = float(np.abs(x[0]) ** 2 + np.abs(x[1]) ** 2)
-        total += float(np.sum(vals * Ws))
-    return total / (2.0 * math.pi)
+    nodes = [_edge_quad_nodes(band, order) for band in bandset.bands]
+    if not nodes:
+        return 0.0
+    Es, Ws = (np.concatenate(v) for v in zip(*nodes))
+    z = section_points(system, Es, [n], margin=sl2.ELLIPTIC_MARGIN)[:, 0]
+    bad = np.flatnonzero(np.isnan(z))
+    if bad.size:
+        raise NotEllipticError(f"energy {Es[bad[0]]!r} is not elliptic")
+    vals = (z.real * z.real + z.imag * z.imag + 1.0) / (2.0 * z.imag)
+    return float(np.sum(vals * Ws)) / (2.0 * math.pi)
 
 
 def band_norm_integral(system, band: Band, n, order: int = 64) -> float:

@@ -119,21 +119,6 @@ def pad_simple(pot: ContinuumPotential, delta: float, n: int) -> ContinuumPotent
     )
 
 
-def gap_propagator(E: float, length: float) -> np.ndarray:
-    """Closed-form propagator of a zero stretch at positive energy.
-
-    Shape D R D^-1: the energy frame conjugates a rotation by
-    sqrt(E) length radians.  Negative and complex energies are served by
-    the entire form in free_block.
-    """
-    if not E > 0.0:
-        raise DomainError("gap propagator display form needs E > 0")
-    D = sl2.energy_diag(E).to_array()
-    phi = math.sqrt(E) * length
-    R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-    return D @ R @ np.linalg.inv(D)
-
-
 def padding_block(E, pad, MN) -> np.ndarray:
     """Padding block [free propagator over the pad] . MN, shape (..., 2, 2).
 

@@ -1,5 +1,6 @@
 """Exception taxonomy shared by all modules."""
 
+import numbers
 from contextlib import contextmanager
 
 
@@ -33,6 +34,21 @@ def reading(what: str):
         raise ValidationError(f"{what}: missing field {exc}") from None
     except (ArithmeticError, AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"{what}: {exc}") from None
+
+
+def strict_int(value, field=None):
+    """An integer descriptor field as an int.
+
+    A boolean, a non-integral number or a non-number raises ValueError,
+    naming ``field`` when given, where int() would read 2.9 as 2 and true
+    as 1; read it inside ``reading`` to report a ``ValidationError``.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    where = f"field {field!r} " if field is not None else ""
+    raise ValueError(f"{where}needs an integer, got {value!r}")
 
 
 class ProjectionError(ValidationError):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, reading
+from .errors import ValidationError, reading, strict_int
 
 # ---------------------------------------------------------------------------
 # node base and encoding
@@ -391,8 +391,10 @@ def _field_types(cls):
 
 
 def _decode_field(tp, v):
-    if tp is float or tp is int:
-        return tp(v)
+    if tp is int:
+        return strict_int(v)
+    if tp is float:
+        return float(v)
     if typing.get_origin(tp) is tuple:
         return tuple(from_json(typing.get_args(tp)[0], t) for t in v)
     return from_json(tp, v)

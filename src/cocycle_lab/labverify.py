@@ -818,20 +818,13 @@ def crooked_metric(
     t_grid = system.period * (np.arange(t_samples) + 0.5) / t_samples
     stride = max(1, t_samples // basepoints)
 
-    def _one(e):
-        mono = system.monodromy(np.asarray([e]))
-        if abs(float(sl2.tr2(mono)[0])) >= 2.0 - 1e-9:
-            return False
-        u0 = sl2.fixed_points2(mono)[0]
-        pref = system.prefix_grid(np.asarray([e]), t_grid)[0]
-        us = sl2.moebius2(pref, np.full(t_samples, u0))
-        dists = _dist_to_base(us)
-        sup_d = float(np.max(dists))
-        base = dists[::stride]
-        frac = float(np.mean(base <= sup_d - 2.0 * math.log(C1) + 1e-12))
-        return frac > 1.0 - eps1
-
-    passing = np.array([_one(float(e)) for e in energies], dtype=bool)
+    # all energies at once; non-elliptic rows come back as nan and fail
+    z = cyc.section_points(system, energies, t_grid, margin=1e-9)
+    dists = _dist_to_base(z)
+    sup_d = np.max(dists, axis=1)
+    base = dists[:, ::stride]
+    frac = np.mean(base <= (sup_d - 2.0 * math.log(C1) + 1e-12)[:, None], axis=1)
+    passing = ~np.isnan(z[:, 0]) & (frac > 1.0 - eps1)
     total = float(np.sum(weights))
     gamma = float(np.sum(weights[passing]))
     return {
@@ -866,18 +859,7 @@ def _band_ids_integral(system, band, m_cap, nodes, t_samples=512):
         uu = (np.arange(nodes) + 0.5) / nodes
         ee = lo + span * uu * uu
         jac = 2.0 * span * uu / nodes
-    if system.kind == "continuum":
-        # batched over the nodes so fine quadrature stays desk scale
-        dens = cyc.fixed_point_density(system, ee, t_samples)
-    else:
-        # clamp the rotation-angle difference step inside the band so
-        # near-edge nodes never straddle a band edge
-        dens = np.empty(nodes)
-        for i, e in enumerate(ee):
-            gap = min(e - lo, hi - e)
-            step = min(1e-6, 0.25 * gap / max(1.0, abs(e)))
-            dens[i] = cyc.density(system, float(e), fd_step=step)
-    terms = dens * jac
+    terms = cyc.fixed_point_density(system, ee, t_samples) * jac
     return float(np.sum(np.where(np.isfinite(terms), terms, 0.0)))
 
 

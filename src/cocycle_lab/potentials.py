@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, reading
+from .errors import ValidationError, reading, strict_int
 from .expr import (
     Bump,
     Const,
@@ -335,14 +335,15 @@ def potential_from_json(d):
             exact = d.get("n0_exact")
             return DiscreteFamily(
                 n0=float(d["n0"]),
-                n1=int(d["n1"]),
+                n1=strict_int(d["n1"], "n1"),
                 expr=family_from_json(d["expr"]),
                 n0_exact=Fraction(exact[0], exact[1]) if exact is not None else None,
             )
         if kind == "discrete-periodic":
             return DiscretePotential(tuple(float(v) for v in d["values"]))
         if kind == "circle-potential":
-            return CirclePotential(int(d["period"]), scalar_from_json(d["expr"]))
+            return CirclePotential(strict_int(d["period"], "period"),
+                                  scalar_from_json(d["expr"]))
     raise ValidationError(f"unknown descriptor kind {kind!r}")
 
 

@@ -26,6 +26,7 @@ from .errors import (
     RealizationError,
     ValidationError,
     reading,
+    strict_int,
 )
 from .expr import smooth_ramp
 from .potentials import ContinuumPotential, DiscreteFamily, potential_from_json
@@ -728,7 +729,7 @@ def tower_from_json(d: dict) -> TowerStage:
                     depth=float(w["depth"]),
                     beta=float(w["beta"]),
                     extra_time=float(w["extra_time"]),
-                    block=int(w["block"]),
+                    block=strict_int(w["block"], "block"),
                 )
                 for w in rec.get("windows", ())
             )
@@ -738,8 +739,9 @@ def tower_from_json(d: dict) -> TowerStage:
                 if not isinstance(pot, ContinuumPotential):
                     raise ValidationError("tower roots carry continuum potentials")
             stage = TowerStage(
-                depth=int(rec["depth"]),
-                multiplicity=int(rec["multiplicity"]),
+                depth=strict_int(rec["depth"], "depth"),
+                multiplicity=strict_int(rec["multiplicity"],
+                                        "multiplicity"),
                 arc_length=float(rec["arc_length"]),
                 period=float(rec["period"]),
                 windows=windows,

@@ -177,13 +177,44 @@ def _broken_arc_length(doc):
     del doc["stages"][0]["arc_length"]
 
 
+def _set(value, *path):
+    """A break that puts a value of the wrong type at path in the doc."""
+    def breaks(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return breaks
+
+
+def _padded_tower():
+    return solenoid.realize_padding(
+        solenoid.base_stage(load_descriptor(desc("v0.json"))),
+        deform.PaddingSpec(0.05, 4, 2), 0.4)
+
+
 @pytest.mark.parametrize("source, breaks, field", [
     (lambda: load_descriptor(desc("v0.json")), _broken_bump_width, "width"),
     (lambda: load_descriptor(desc("cos2.json")), _broken_tcos_amp, "amp"),
     (lambda: potentials.DiscretePotential((0.5, -0.5)), _broken_values, "values"),
     (lambda: solenoid.base_stage(load_descriptor(desc("v0.json"))),
      _broken_arc_length, "arc_length"),
-], ids=["bump-width", "tcos-amp", "discrete-values", "tower-arc_length"])
+    # integer fields: int() would read 2.9 as 2 and true as 1
+    (lambda: load_descriptor(desc("circle.json")), _set(2.9, "period"), "period"),
+    (lambda: load_descriptor(desc("circle.json")), _set(True, "period"), "period"),
+    (lambda: load_descriptor(desc("cos2.json")), _set(2.5, "n1"), "n1"),
+    (lambda: load_descriptor(desc("cos2.json")),
+     _set(2.5, "expr", "terms", 1, "period"), "period"),
+    (lambda: load_descriptor(desc("cos2.json")),
+     _set(False, "expr", "terms", 1, "harmonic"), "harmonic"),
+    (lambda: solenoid.base_stage(load_descriptor(desc("v0.json"))),
+     _set(True, "stages", 0, "depth"), "depth"),
+    (lambda: solenoid.base_stage(load_descriptor(desc("v0.json"))),
+     _set(1.5, "stages", 0, "multiplicity"), "multiplicity"),
+    (_padded_tower, _set(1.5, "stages", 1, "windows", 0, "block"), "block"),
+], ids=["bump-width", "tcos-amp", "discrete-values", "tower-arc_length",
+        "circle-period-float", "circle-period-bool", "family-n1",
+        "jcos-period", "jcos-harmonic-bool", "tower-depth-bool",
+        "tower-multiplicity", "tower-block"])
 def test_malformed_fields_are_usage_errors(tmp_path, capsys, source, breaks, field):
     doc = cli.descriptor_json(source())
     breaks(doc)
@@ -244,6 +275,32 @@ def test_cache_reuses_and_preserves_bytes(tmp_path, monkeypatch):
     second = tmp_path / "second.csv"
     assert dispatch(argv + ["--out", str(second)]) == 0
     assert cold.read_bytes() == first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("quantity", ["density", "ids"])
+def test_discrete_sweep_monodromy_calls(tmp_path, monkeypatch, quantity):
+    # past the band scan, a 64-energy grid costs one monodromy call for
+    # all its band-interior energies; the per-energy loops made 128
+    # (density, two rotation angles per energy) and up to 64 (ids)
+    monkeypatch.delenv("COCYCLE_LAB_CACHE", raising=False)
+    monodromy, rows = cyc.DiscreteCocycle.monodromy, cli._quantity_rows
+    calls = []
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return monodromy(self, *args, **kw)
+
+    def counted_rows(*args):
+        monkeypatch.setattr(cyc.DiscreteCocycle, "monodromy", counted)
+        return rows(*args)
+
+    monkeypatch.setattr(cli, "_quantity_rows", counted_rows)
+    out = tmp_path / "sweep.csv"
+    assert dispatch(["sweep", "--potential", desc("cos3.json"), "--quantity",
+                     quantity, "--emin", "-2.5", "--emax", "2.5", "--count",
+                     "64", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) - 2 >= 40
+    assert 1 <= len(calls) <= 2
 
 
 def test_cache_key_tracks_version_and_engine(tmp_path, monkeypatch):

@@ -49,6 +49,7 @@ from cocycle_lab.potentials import (
     DiscretePotential,
     Piece,
     alternating,
+    cos_family,
     cosine_well_potential,
     free_continuum,
     free_discrete,
@@ -553,6 +554,42 @@ class TestIdsAndDensity:
         with pytest.raises(NotEllipticError):
             density(sysm, -1.0)
 
+    def test_discrete_density_outside_band_raises(self):
+        sysm = DiscreteCocycle(DiscretePotential((0.0, 1.0)))
+        with pytest.raises(NotEllipticError):
+            density(sysm, 3.0)
+
+    def test_free_discrete_density_closed_form(self):
+        sysm = DiscreteCocycle(free_discrete(1).slice(0.0))
+        E = np.linspace(-1.99, 1.99, 41)
+        want = 1.0 / (math.pi * np.sqrt(4.0 - E * E))
+        np.testing.assert_allclose(density(sysm, E), want, rtol=1e-12, atol=0)
+
+    def test_alternating_density_closed_form(self):
+        # trace D = E (E - lam) - 2, so dN/dE = |D'| / (2 pi sqrt(4 - D^2))
+        lam = 0.5
+        E = np.array([-1.7, -1.0, -0.3, 0.6, 1.5, 2.2])
+        D = E * (E - lam) - 2.0
+        want = np.abs(2.0 * E - lam) / (2.0 * math.pi * np.sqrt(4.0 - D * D))
+        np.testing.assert_allclose(density(alt_cocycle(lam), E), want,
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["continuum", "discrete"])
+    def test_ids_batch_equals_single_energies(self, kind):
+        # energies in gaps, on edges and inside bands, through one batch
+        if kind == "continuum":
+            sysm = ContinuumCocycle(deform.pad(
+                cosine_well_potential(), deform.PaddingSpec(0.1, 2, 2)))
+            bs = band_spectrum(sysm, *sysm.scan_range(12.0))
+        else:
+            sysm = DiscreteCocycle(DiscretePotential((0.3, -0.4, 1.1, 0.2)))
+            bs = discrete_band_spectrum(sysm)
+        edges = [e for b in bs.bands for e in (b.lo, b.hi)]
+        E = np.concatenate([np.linspace(bs.bands[0].lo - 1.0, bs.e_max, 301),
+                            edges])
+        np.testing.assert_array_equal(ids(sysm, E, bs),
+                                      [ids(sysm, e, bs) for e in E])
+
 
 class TestLyapunov:
     def test_free_discrete_hyperbolic(self):
@@ -668,6 +705,24 @@ class TestParsevalAndNormBound:
         for n in (0, 3):
             total = spectral_parseval(sysm, bs, n, order=48)
             assert total == pytest.approx(1.0, abs=2e-3)
+
+    @pytest.mark.parametrize("n1", [3, 5])
+    def test_parseval_matches_bloch_pair_sum(self, n1):
+        # reference: the normalized Bloch pair at every quadrature node
+        sysm = DiscreteCocycle(cos_family(0.3, n1).slice(0.0))
+        bs = discrete_band_spectrum(sysm)
+        for n in (0, 4, -3):
+            want = 0.0
+            for band in bs.bands:
+                Es, Ws = cocycle._edge_quad_nodes(band, 48)
+                vals = []
+                for e in Es:
+                    x = bloch_pair(sysm, float(e)).states(sysm, float(e), [n])[0]
+                    vals.append(abs(x[0]) ** 2 + abs(x[1]) ** 2)
+                want += float(np.dot(vals, Ws))
+            want /= 2.0 * math.pi
+            got = spectral_parseval(sysm, bs, n, order=48)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_free_band_norm_integral(self):
         sysm = DiscreteCocycle(free_discrete(1).slice(0.0))

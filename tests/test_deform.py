@@ -21,7 +21,6 @@ from cocycle_lab.deform import (
     circle_steps,
     crumble_circle,
     frame_data,
-    gap_propagator,
     half_turn_fixed_point,
     interleaved_trace,
     pad,
@@ -48,6 +47,19 @@ from cocycle_lab.potentials import (
 
 def bump_pot():
     return smooth_bump_potential(period=2.0, height=1.0, zero_nbhd=0.5)
+
+
+def gap_propagator(E: float, length: float) -> np.ndarray:
+    """Reference propagator of a zero stretch at positive energy, in the
+    display form D R D^-1: the energy frame conjugates a rotation by
+    sqrt(E) length radians.  Independent of the entire form in free_block.
+    """
+    if not E > 0.0:
+        raise DomainError("gap propagator display form needs E > 0")
+    D = sl2.energy_diag(E).to_array()
+    phi = math.sqrt(E) * length
+    R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    return D @ R @ np.linalg.inv(D)
 
 
 def elliptic_energy(base, lo=0.5, hi=6.0, want=1.5):

@@ -378,6 +378,15 @@ def test_good_nice_free_discrete():
     assert rep["good"] and rep["nice"]
 
 
+@pytest.mark.parametrize("n1", [3, 5])
+def test_good_nice_discrete_ids_deficit(n1):
+    # the bandwise integral of the exact section density meets the ids at
+    # the cap to rounding; a finite-difference density left 2.9e-5 (cos3)
+    rep = good_nice_metrics(cos_family(0.3, n1), eps=1e-3, M=10.0)
+    assert rep["ids_at_M"] == 1.0
+    assert rep["ids_deficit"] <= 1e-10
+
+
 def test_good_for_every_eps_on_periodic_bands():
     # the exponent vanishes identically on band interiors, so any
     # positive tolerance certifies goodness
