@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import cocycle as cyc
-from . import deform, labverify, potentials, slowdeform, solenoid
+from . import deform, labverify, potentials, sl2, slowdeform, solenoid
 from .errors import CocycleLabError, UsageError, ValidationError
 from .potentials import (
     CirclePotential,
@@ -188,6 +188,9 @@ def _quantity_rows(system, bandset, quantity, energies, samples):
             # and the trace disagree) has a divergent density: no row
             energies, values = (v[np.isfinite(values)] for v in (energies, values))
         else:
+            # as for density, an energy on a band edge to rounding: no row
+            energies = energies[np.abs(system.trace(energies))
+                                < 2.0 - sl2.ELLIPTIC_MARGIN]
             values = [cyc.growth_value(system, float(e), samples=samples).value
                       for e in energies]
     return [(float(e), float(v)) for e, v in zip(energies, values)]
@@ -227,7 +230,6 @@ def _cmd_quantity(args) -> None:
                          f"choices: {', '.join(QUANTITIES)}")
     pot = load_descriptor(args.potential)
     system = _spectral_system(pot)
-    bandset = _bands_for(system, args.emin, args.emax, args.grid, args.tol)
     params = {
         "potential_sha1": _descriptor_sha1(pot),
         "quantity": quantity,
@@ -245,6 +247,7 @@ def _cmd_quantity(args) -> None:
     if cached is not None:
         rows = [tuple(r) for r in cached]
     else:
+        bandset = _bands_for(system, args.emin, args.emax, args.grid, args.tol)
         rows = _quantity_rows(system, bandset, quantity, energies,
                               args.samples)
         memo.put(key, [list(r) for r in rows])

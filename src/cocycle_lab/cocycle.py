@@ -19,11 +19,12 @@ complex step.  Zero stretches of the potential are crossed in one exact
 step (free_block).  Nonzero pieces are crossed by fourth-order two-node
 Gauss-Magnus steps (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 2009): for this generator the commutator term does not
-depend on E, so V is sampled once per piece, each step has determinant
-one, and a whole energy batch advances through all steps of a piece in a
-few vectorized products.  A cocycle fixes the step count and potential
-samples of each piece once, by step doubling against a stated tolerance;
-no propagator is kept between calls.
+depend on E, so V is sampled once per piece and each step has determinant
+one.  A piece's steps form four contiguous (steps, energies) component
+planes, multiplied by sl2's pairwise product or prefix scan in energy blocks
+small enough to stay in cache.  A cocycle fixes the step count and potential
+samples of each piece once, by step doubling against a stated tolerance; no
+propagator is kept between calls.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ _PROBE_OFFSETS = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 ENGINE = (f"gauss-magnus4 step-doubling tol={_TOL!r} "
           f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS} "
           "density=invariant-section")
-# energies per batch, and energy-steps per batch, bound the stacks in memory
+# energies, and energy-steps of the longest piece, per block; see _batch
 _CHUNK = 256
-_STACK = 2 ** 18
+_BLOCK_STEPS = 3 * 2 ** 14
 _SMALL_X = 1e-10
 
 
@@ -81,28 +82,28 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 
-def _cos_sinc(x):
-    """cos(sqrt(x)) and sin(sqrt(x))/sqrt(x), entire, for real or complex x."""
-    x = np.asarray(x)
+def _cos_sinc(x, c=None, s=None):
+    """cos(sqrt(x)) and sin(sqrt(x))/sqrt(x), entire, for real or complex x,
+    written into c and s when given."""
+    x = np.asarray(x, dtype=np.result_type(x, float))
+    if c is None:
+        c, s = np.empty_like(x), np.empty_like(x)
     if np.iscomplexobj(x):
-        w = np.sqrt(x.astype(complex))
+        w = np.sqrt(x)
         small = np.abs(x) < _SMALL_X
         wsafe = np.where(small, 1.0, w)
-        c = np.where(small, 1.0 - x / 2.0 + x * x / 24.0, np.cos(wsafe))
-        s = np.where(small, 1.0 - x / 6.0 + x * x / 120.0, np.sin(wsafe) / wsafe)
+        c[...] = np.where(small, 1.0 - x / 2.0 + x * x / 24.0, np.cos(wsafe))
+        s[...] = np.where(small, 1.0 - x / 6.0 + x * x / 120.0, np.sin(wsafe) / wsafe)
         return c, s
-    x = x.astype(float)
-    c = np.empty_like(x)
-    s = np.empty_like(x)
     pos = x > _SMALL_X
     neg = x < -_SMALL_X
     mid = ~(pos | neg)
-    wp = np.sqrt(x[pos])
-    c[pos] = np.cos(wp)
-    s[pos] = np.sin(wp) / wp
-    wn = np.sqrt(-x[neg])
-    c[neg] = np.cosh(wn)
-    s[neg] = np.sinh(wn) / wn
+    w = np.sqrt(x[pos])
+    c[pos] = np.cos(w)
+    s[pos] = np.divide(np.sin(w), w, out=w)
+    w = np.sqrt(np.negative(x[neg]))
+    c[neg] = np.cosh(w)
+    s[neg] = np.divide(np.sinh(w), w, out=w)
     xm = x[mid]
     c[mid] = 1.0 - xm / 2.0 + xm * xm / 24.0
     s[mid] = 1.0 - xm / 6.0 + xm * xm / 120.0
@@ -137,45 +138,25 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
 def _magnus_steps(h, a, vbar, E):
-    """Step propagators exp([[a, b], [h, -a]]) with b = h (vbar - E).
-
-    h, a and vbar broadcast along the steps and E along the leading axis;
-    returns (K, steps, 2, 2).  Omega = [[a, b], [h, -a]] squares to
-    (a^2 + b h) I, so exp(Omega) = c I + s Omega with the (c, s) of
-    free_block: determinant one, entire in E.
-    """
-    b = h * (vbar - E[:, None])
-    c, s = _cos_sinc(-(a * a + b * h))
-    out = np.empty(c.shape + (2, 2), dtype=c.dtype)
-    out[..., 0, 0] = c + s * a
-    out[..., 0, 1] = s * b
-    out[..., 1, 0] = s * h
-    out[..., 1, 1] = c - s * a
+    """Step propagators exp(Omega), Omega = [[a, b], [h, -a]] with
+    b = h (vbar - E), as (2, 2, steps, K) planes; h, a and vbar run along
+    the steps, E along K.  Omega^2 = (a^2 + b h) I, so exp(Omega) =
+    c I + s Omega with the (c, s) of free_block: determinant one, entire."""
+    h, a, vbar = (np.reshape(x, (-1, 1)) for x in (h, a, vbar))
+    shape = np.broadcast_shapes(h.shape, a.shape, vbar.shape, E.shape)
+    out = np.empty((2, 2) + shape, dtype=np.result_type(E, float))
+    # b, x, c and s are worked out in the planes, so a block allocates
+    # little else and the next block reuses its memory (no page faults)
+    c, b, x, s = out[0, 0], out[0, 1], out[1, 0], out[1, 1]
+    np.multiply(h, np.subtract(vbar, E, out=b), out=b)
+    np.negative(np.add(a * a, np.multiply(b, h, out=x), out=x), out=x)
+    _cos_sinc(x, c, s)
+    sa = s * a
+    np.multiply(s, h, out=x)
+    np.multiply(s, b, out=b)
+    np.subtract(c, sa, out=s)
+    np.add(c, sa, out=c)
     return out
-
-
-def _tree_product(S):
-    """Ordered product S[:, n-1] ... S[:, 0] of a (K, n, 2, 2) stack, by
-    pairwise products in ceil(log2 n) vectorized rounds."""
-    while S.shape[1] > 1:
-        n = S.shape[1]
-        paired = sl2.mul2(S[:, 1::2], S[:, 0:n - 1:2])
-        S = paired if n % 2 == 0 else np.concatenate([paired, S[:, -1:]], axis=1)
-    return S[:, 0]
-
-
-def _prefix_products(S):
-    """P[:, k] = S[:, k-1] ... S[:, 0] for k = 0..n (P[:, 0] = I), by a
-    Hillis-Steele scan in ceil(log2 n) vectorized rounds."""
-    K, n = S.shape[:2]
-    P = np.empty((K, n + 1, 2, 2), dtype=S.dtype)
-    P[:, 0] = np.eye(2)
-    P[:, 1:] = S
-    d = 1
-    while d < n:
-        P[:, d + 1:] = sl2.mul2(P[:, d + 1:], P[:, 1:n + 1 - d])
-        d *= 2
-    return P
 
 
 class _Piece:
@@ -201,16 +182,16 @@ class _Piece:
         coarse = self._uniform(n)
         v = coarse[2]
         probes = np.concatenate([[v.min() - 1.0], v.max() + np.array(_PROBE_OFFSETS)])
-        coarse_prop = _tree_product(_magnus_steps(*coarse, probes))
+        coarse_prop = sl2.plane_product(_magnus_steps(*coarse, probes))
         while True:
             if 2 * n > _MAX_STEPS:
                 raise IntegrationFailureError(
                     f"piece needs more than {_MAX_STEPS} Magnus steps to meet "
                     f"tolerance {_TOL!r}", interval=(0.0, length))
             fine = self._uniform(2 * n)
-            fine_prop = _tree_product(_magnus_steps(*fine, probes))
-            size = np.maximum(1.0, np.max(np.abs(fine_prop), axis=(1, 2)))
-            err = np.max(np.abs(coarse_prop - fine_prop), axis=(1, 2)) / size
+            fine_prop = sl2.plane_product(_magnus_steps(*fine, probes))
+            size = np.maximum(1.0, np.max(np.abs(fine_prop), axis=(0, 1)))
+            err = np.max(np.abs(coarse_prop - fine_prop), axis=(0, 1)) / size
             if np.all(err <= _TOL):
                 break
             n, coarse, coarse_prop = 2 * n, fine, fine_prop
@@ -235,7 +216,8 @@ class _Piece:
 
     def full(self, E):
         """(K, 2, 2) propagator across the whole piece."""
-        return _tree_product(_magnus_steps(self._h, self._a, self._vbar, E))
+        P = sl2.plane_product(_magnus_steps(self._h, self._a, self._vbar, E))
+        return P.transpose(2, 0, 1)
 
     def prefix(self, E, s):
         """(K, len(s), 2, 2) propagators from the piece start to local times
@@ -246,9 +228,10 @@ class _Piece:
         r = np.maximum(s - left, 0.0)
         short = _magnus_steps(r, *self._sample(left, r), E)
         top = int(k.max())
-        whole = _prefix_products(
+        whole = sl2.plane_scan(
             _magnus_steps(self._h, self._a[:top], self._vbar[:top], E))
-        return sl2.mul2(short, whole[:, k])
+        return sl2.mul2(short.transpose(3, 2, 0, 1),
+                        whole[:, :, k].transpose(3, 2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +328,19 @@ class ContinuumCocycle:
 
     @cached_property
     def _batch(self):
-        """Energies per block: at most _CHUNK, and at most _STACK
-        energy-steps of the piece with the most steps."""
+        """Energies per block: at most _CHUNK, which bounds prefix_grid's
+        per-time stacks, and at most _BLOCK_STEPS energy-steps of the longest
+        piece, so that its planes (32 bytes per real energy-step) stay in a
+        2 MB L2 cache; of the budgets 2**14 to 2**16 this was the fastest."""
         steps = max((p.steps for _, _, p in self._segments if p is not None),
                     default=1)
-        return max(1, min(_CHUNK, _STACK // steps))
+        return max(1, min(_CHUNK, _BLOCK_STEPS // steps))
 
     def _chunked(self, E, fn):
         """Apply fn to energy blocks of self._batch and stack the results."""
         size = self._batch
-        if E.shape[0] <= size:
-            return fn(E)
-        parts = [fn(E[i:i + size]) for i in range(0, E.shape[0], size)]
-        return np.concatenate(parts, axis=0)
+        parts = [fn(E[i:i + size]) for i in range(0, max(E.shape[0], 1), size)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
     def _entry_matrices(self, E):
         """A(0 -> segment start) for each segment, then the monodromy:
@@ -429,13 +412,7 @@ class ContinuumCocycle:
             return eye[0] if scalar else eye
         if t0 == 0.0:
             return self.prefix(E, t1)
-        a1 = self.prefix(E, t1)
-        a0 = self.prefix(E, t0)
-        Earr, scalar = _as_batch(E)
-        a1 = a1 if not scalar else a1[None]
-        a0 = a0 if not scalar else a0[None]
-        out = sl2.mul2(a1, sl2.inv2(a0))
-        return out[0] if scalar else out
+        return sl2.mul2(self.prefix(E, t1), sl2.inv2(self.prefix(E, t0)))
 
     def monodromy(self, E, t0=0.0):
         """A(E, t0, t0 + period)."""
@@ -529,17 +506,13 @@ class DiscreteCocycle:
         Earr, scalar = _as_batch(E)
         j0, j1 = int(j0), int(j1)
         if j1 < j0:
-            out = self.transfer(Earr, j1, j0)
-            out = sl2.inv2(out)
-            return out[0] if scalar else out
+            return sl2.inv2(self.transfer(E, j1, j0))
         K = Earr.shape[0]
         dt = complex if np.iscomplexobj(Earr) else float
         A = np.broadcast_to(np.eye(2, dtype=dt), (K, 2, 2)).copy()
-        vals = self.pot(np.arange(j0, j1))
-        if j1 > j0:
-            steps = step_matrices(Earr, vals)
-            for i in range(j1 - j0):
-                A = sl2.mul2(steps[:, i], A)
+        steps = step_matrices(Earr, self.pot(np.arange(j0, j1)))
+        for i in range(j1 - j0):
+            A = sl2.mul2(steps[:, i], A)
         return A[0] if scalar else A
 
     def monodromy(self, E, j0=0):

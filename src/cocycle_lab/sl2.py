@@ -1,9 +1,10 @@
 """SL(2,R) matrices acting on the upper half plane.
 
 The stacked kernels (the ``*2`` functions) operate on numpy stacks of
-shape (..., 2, 2) and are what the energy-grid pipelines call.  The scalar
-types (Mat2, HPoint, Turns) and functions are thin wrappers that validate
-their input and compute through those kernels.
+shape (..., 2, 2) and are what the energy-grid pipelines call; long ordered
+products take (2, 2, n, ...) component planes (plane_product, plane_scan).
+The scalar types (Mat2, HPoint, Turns) and functions are thin wrappers
+that validate their input and compute through those kernels.
 """
 
 from __future__ import annotations
@@ -212,6 +213,49 @@ def mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out[..., 1, 0] = A[..., 1, 0] * B[..., 0, 0] + A[..., 1, 1] * B[..., 1, 0]
     out[..., 1, 1] = A[..., 1, 0] * B[..., 0, 1] + A[..., 1, 1] * B[..., 1, 1]
     return out
+
+
+def _mul_planes(A, B, out):
+    """out = A . B over (2, 2, ...) planes by mul2's formulas; no overlap."""
+    for i in range(2):
+        for j in range(2):
+            np.multiply(A[i, 0], B[0, j], out=out[i, j])
+            out[i, j] += A[i, 1] * B[1, j]
+    return out
+
+
+def plane_product(P: np.ndarray) -> np.ndarray:
+    """Ordered product P[:, :, n-1] ... P[:, :, 0] of (2, 2, n, ...) planes.
+
+    Each of ceil(log2 n) rounds multiplies the neighbours (2j+1, 2j) and
+    carries an odd last factor.  Rounding depends on the association, so
+    this order is fixed: it keeps every continuum output byte-identical.
+    """
+    while P.shape[2] > 1:
+        n, half = P.shape[2], P.shape[2] // 2
+        out = np.empty(P.shape[:2] + (n - half,) + P.shape[3:], P.dtype)
+        _mul_planes(P[:, :, 1::2], P[:, :, 0:n - 1:2], out[:, :, :half])
+        if n % 2:
+            out[:, :, half] = P[:, :, n - 1]
+        P = out
+    return P[:, :, 0]
+
+
+def plane_scan(S: np.ndarray) -> np.ndarray:
+    """Prefix products Q[:, :, k] = S[:, :, k-1] ... S[:, :, 0], k = 0..n,
+    of (2, 2, n, ...) planes, by a Hillis-Steele scan: the round with shift
+    d = 1, 2, 4, ... sets Q[k] = Q[k] . Q[k-d] for all k > d at once.  The
+    association order is fixed for byte identity, as in plane_product."""
+    n = S.shape[2]
+    Q = np.empty(S.shape[:2] + (n + 1,) + S.shape[3:], S.dtype)
+    Q[:, :, 0] = np.eye(2).reshape((2, 2) + (1,) * (S.ndim - 3))
+    Q[:, :, 1:] = S
+    d = 1
+    while d < n:
+        Q[:, :, d + 1:] = _mul_planes(Q[:, :, d + 1:], Q[:, :, 1:n + 1 - d],
+                                      np.empty_like(Q[:, :, d + 1:]))
+        d *= 2
+    return Q
 
 
 def inv2(A: np.ndarray) -> np.ndarray:

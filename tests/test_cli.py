@@ -502,6 +502,40 @@ def test_growth_csv_skips_gap_energies(tmp_path):
     assert all(float(v) >= 1.0 for _, v in rows)
 
 
+@pytest.mark.parametrize("verb", [["sweep", "--quantity", "growth"], ["growth"]])
+def test_growth_sweep_skips_band_edge_energy(tmp_path, verb):
+    # E = 0 lies inside a band of the alternating potential by the scanned
+    # edges, but its trace is -2 exactly: it gets no row, where it used to
+    # fail the whole sweep with exit 1
+    out = tmp_path / "g.csv"
+    assert dispatch(verb + ["--potential", desc("alternating.json"),
+                            "--count", "301", "--samples", "64",
+                            "--out", str(out)]) == 0
+    system = cli._spectral_system(load_descriptor(desc("alternating.json")))
+    assert float(system.trace(0.0)) == -2.0
+    rows = [[float(x) for x in ln.split(",")]
+            for ln in read(str(out)).splitlines()[2:]]
+    assert len(rows) >= 60
+    assert all(e != 0.0 for e, _ in rows)
+    for e, v in rows:
+        assert v == cyc.growth_value(system, e, samples=64).value
+
+
+def test_memo_hit_skips_band_scan(tmp_path, monkeypatch):
+    argv = ["sweep", "--potential", desc("cos2.json"), "--quantity", "ids",
+            "--emin", "-2.5", "--emax", "2.5", "--count", "30"]
+    monkeypatch.setenv("COCYCLE_LAB_CACHE", str(tmp_path / "cache"))
+    miss, hit = tmp_path / "miss.csv", tmp_path / "hit.csv"
+    assert dispatch(argv + ["--out", str(miss)]) == 0
+
+    def no_scan(*args):
+        raise AssertionError("band scan on a memo hit")
+
+    monkeypatch.setattr(cli, "_bands_for", no_scan)
+    assert dispatch(argv + ["--out", str(hit)]) == 0
+    assert hit.read_bytes() == miss.read_bytes()
+
+
 def test_density_rows_match_library_values(tmp_path):
     import cocycle_lab.cocycle as cyc
 

@@ -7,6 +7,8 @@ searches for the growth functional.
 """
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from cocycle_lab import cocycle, deform, sl2, util
+from cocycle_lab.cli import load_descriptor
 from cocycle_lab.cocycle import (
     Band,
     BandSet,
@@ -317,6 +320,180 @@ class TestMagnusEngine:
         monkeypatch.setattr(cocycle, "_MAX_STEPS", 64)
         with pytest.raises(IntegrationFailureError):
             cocycle._Piece(Bump(center=0.5, width=0.05), 0.0, 1.0, 1.0)
+
+
+def reference_cos_sinc(x):
+    """cos(sqrt(x)) and sin(sqrt(x))/sqrt(x) as computed before the plane
+    kernel, with fresh arrays for every intermediate."""
+    if np.iscomplexobj(x):
+        w = np.sqrt(x.astype(complex))
+        small = np.abs(x) < cocycle._SMALL_X
+        wsafe = np.where(small, 1.0, w)
+        c = np.where(small, 1.0 - x / 2.0 + x * x / 24.0, np.cos(wsafe))
+        s = np.where(small, 1.0 - x / 6.0 + x * x / 120.0, np.sin(wsafe) / wsafe)
+        return c, s
+    x = x.astype(float)
+    c, s = np.empty_like(x), np.empty_like(x)
+    pos, neg = x > cocycle._SMALL_X, x < -cocycle._SMALL_X
+    mid = ~(pos | neg)
+    wp, wn, xm = np.sqrt(x[pos]), np.sqrt(-x[neg]), x[mid]
+    c[pos], s[pos] = np.cos(wp), np.sin(wp) / wp
+    c[neg], s[neg] = np.cosh(wn), np.sinh(wn) / wn
+    c[mid] = 1.0 - xm / 2.0 + xm * xm / 24.0
+    s[mid] = 1.0 - xm / 6.0 + xm * xm / 120.0
+    return c, s
+
+
+def reference_steps(h, a, vbar, E):
+    """Magnus step propagators as a (K, steps, 2, 2) stack: the layout the
+    plane kernel replaced, kept as its reference."""
+    b = h * (vbar - E[:, None])
+    c, s = reference_cos_sinc(-(a * a + b * h))
+    out = np.empty(c.shape + (2, 2), dtype=c.dtype)
+    out[..., 0, 0] = c + s * a
+    out[..., 0, 1] = s * b
+    out[..., 1, 0] = s * h
+    out[..., 1, 1] = c - s * a
+    return out
+
+
+def reference_product(S):
+    """S[:, n-1] ... S[:, 0] by pairwise mul2 rounds, odd last factor
+    carried."""
+    while S.shape[1] > 1:
+        n = S.shape[1]
+        paired = sl2.mul2(S[:, 1::2], S[:, 0:n - 1:2])
+        S = paired if n % 2 == 0 else np.concatenate([paired, S[:, -1:]], axis=1)
+    return S[:, 0]
+
+
+def reference_scan(S):
+    """P[:, k] = S[:, k-1] ... S[:, 0], k = 0..n, by a Hillis-Steele scan
+    of mul2 rounds."""
+    K, n = S.shape[:2]
+    P = np.empty((K, n + 1, 2, 2), dtype=S.dtype)
+    P[:, 0] = np.eye(2)
+    P[:, 1:] = S
+    d = 1
+    while d < n:
+        P[:, d + 1:] = sl2.mul2(P[:, d + 1:], P[:, 1:n + 1 - d])
+        d *= 2
+    return P
+
+
+def workload_bump(height=1.0, zero_nbhd=0.5, spec=(0.05, 1, 1)):
+    """The padded bump of the continuum-spectra benchmark workload."""
+    return ContinuumCocycle(deform.pad(
+        smooth_bump_potential(2.0, height, zero_nbhd), deform.PaddingSpec(*spec)))
+
+
+class TestPlaneKernel:
+    """The component-plane kernel equals the (K, steps, 2, 2) kernel it
+    replaced bit for bit, whatever the energy block."""
+
+    E_REAL = np.linspace(-3.0, 40.0, 23)
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 64, 383, 384])
+    @pytest.mark.parametrize("shift", [0.0, 1e-100, 0.3])
+    def test_product_and_scan_equal_reference(self, steps, shift):
+        piece = next(p for _, _, p in workload_bump()._segments if p)
+        h, a, vbar = piece._uniform(steps)
+        E = self.E_REAL + 1j * shift if shift else self.E_REAL
+        planes = cocycle._magnus_steps(h, a, vbar, E)
+        ref = reference_steps(h, a, vbar, E)
+        np.testing.assert_array_equal(planes.transpose(3, 2, 0, 1), ref)
+        np.testing.assert_array_equal(
+            sl2.plane_product(planes).transpose(2, 0, 1), reference_product(ref))
+        np.testing.assert_array_equal(
+            sl2.plane_scan(planes).transpose(3, 2, 0, 1), reference_scan(ref))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-100, 0.3])
+    def test_cos_sinc_equals_reference(self, shift):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 301),
+                            [-1e-10, -3e-11, 0.0, 2e-11, 1e-10]])
+        x = x + 1j * shift if shift else x
+        for got, want in zip(cocycle._cos_sinc(x), reference_cos_sinc(x)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-100, 0.3])
+    def test_piece_full_and_prefix_equal_reference(self, shift):
+        piece = next(p for _, _, p in workload_bump()._segments if p)
+        E = self.E_REAL + 1j * shift if shift else self.E_REAL
+        steps = reference_steps(piece._h, piece._a, piece._vbar, E)
+        np.testing.assert_array_equal(piece.full(E), reference_product(steps))
+        s = np.array([0.0, 0.3 * piece._h, piece._h, 0.37, 0.5 * piece.length,
+                      piece.length])
+        k = np.minimum(np.floor(s / piece._h), piece.steps).astype(int)
+        left = k * piece._h
+        r = np.maximum(s - left, 0.0)
+        short = reference_steps(r, *piece._sample(left, r), E)
+        want = sl2.mul2(short, reference_scan(steps)[:, k])
+        np.testing.assert_array_equal(piece.prefix(E, s), want)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_outputs_independent_of_block(self, monkeypatch, block):
+        def results():
+            sysm = workload_bump()
+            E = np.linspace(-0.5, 5.0, 40)
+            bs = band_spectrum(sysm, -0.5, 5.0, grid=256)
+            return (sysm.monodromy(E), sysm.monodromy(E, t0=1.3),
+                    sysm.prefix_grid(E[:9], np.linspace(-3.0, 9.0, 11)),
+                    sysm.trace_derivative(E),
+                    [(repr(b.lo), repr(b.hi), b.lo_sign, b.hi_sign)
+                     for b in bs.bands])
+
+        default = results()
+        assert workload_bump()._batch == 128
+        monkeypatch.setattr(ContinuumCocycle, "_batch", block)
+        for got, want in zip(results(), default):
+            np.testing.assert_array_equal(got, want)
+
+    def test_workload_bump_step_count(self):
+        # every piece of v0 and of the benchmark's padded bump takes 384 steps
+        v0 = load_descriptor(os.path.join(os.path.dirname(__file__), "..",
+                                          "descriptors", "v0.json"))
+        for sysm in (ContinuumCocycle(v0), workload_bump()):
+            assert {p.steps for _, _, p in sysm._segments if p} == {384}
+
+    def test_band_scan_energy_count(self, monkeypatch):
+        # every energy the scan evaluates passes through _Piece.full once;
+        # 3,207 at this writing
+        counted = []
+        full = cocycle._Piece.full
+
+        def wrapped(self, E):
+            counted.append(np.size(E))
+            return full(self, E)
+
+        monkeypatch.setattr(cocycle._Piece, "full", wrapped)
+        band_spectrum(workload_bump(), -0.5, 5.0, grid=1024)
+        assert sum(counted) <= 3300
+
+    def test_trace_memory_bounded(self):
+        # 50,000 energies in 128-energy blocks: a 12.4 MB tracemalloc peak
+        # measured (16.7 MB with 256-energy blocks of the former layout)
+        sysm = workload_bump()
+        E = np.linspace(-0.5, 5.0, 50_000)
+        sysm.trace(E[:4])
+        tracemalloc.start()
+        try:
+            sysm.trace(E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
+    def test_blocks_reuse_memory(self):
+        # a block that returned its work arrays to the system faulted them
+        # back in on the next one: 62,634 minor page faults for these
+        # 10,000 energies in the former layout, 617 measured here
+        resource = pytest.importorskip("resource")
+        sysm = workload_bump()
+        E = np.linspace(-0.5, 5.0, 10_000)
+        sysm.trace(E[:2_000])
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sysm.trace(E)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2_000
 
 
 class TestDiscreteTransfer:
