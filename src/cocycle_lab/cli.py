@@ -240,6 +240,8 @@ def _cmd_quantity(args) -> None:
         "tol": args.tol,
         "samples": args.samples,
     }
+    if args.count < 0:
+        raise ValidationError(f"'--count' must be nonnegative, got {args.count}")
     energies = np.linspace(args.emin, args.emax, args.count)
     memo = DiskMemo()
     key = _sweep_cache_key(params)
@@ -527,9 +529,12 @@ def _add_scan(p, emin=-4.0, emax=12.0):
     p.add_argument("--emin", type=float, default=emin)
     p.add_argument("--emax", type=float, default=emax)
     p.add_argument("--grid", type=int, default=4096,
-                   help="trace-scan resolution for band detection")
+                   help="trace-scan resolution for band detection; the "
+                        "oscillation count finds what it misses")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="band-edge tangency tolerance")
+                   help="a gap the scan misses is a touching point unless "
+                        "|trace| exceeds 2 by more than this at its Dirichlet "
+                        "eigenvalue")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,12 @@ Both cocycle classes expose the same surface: prefix transfer from time 0,
 transfer between times, period monodromy from any base point, trace and
 its complex-step derivative over energy arrays.
 
+Band spectra are certified by an oscillation count (rotation_count): the
+Dirichlet solution's zeros over one period number the Dirichlet eigenvalues
+below E, one in each closed gap (the oscillation theorem for Hill's
+equation), so every band and gap band_spectrum reads off its trace scan is
+checked against the count, and the scan is bisected where they disagree.
+
 Density of states, growth, the completeness integral (and labverify's
 crooked metric) are read off one object for both kinds, the invariant section
 (section_points): the upper-half-plane fixed point of the monodromy,
@@ -59,7 +65,7 @@ _PROBE_OFFSETS = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 # under another engine must not be served from a cache
 ENGINE = (f"gauss-magnus4 step-doubling tol={_TOL!r} "
           f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS} "
-          "density=invariant-section")
+          "density=invariant-section bands=sturm-count")
 # energies, and energy-steps of the longest piece, per block; see _batch
 _CHUNK = 256
 _BLOCK_STEPS = 3 * 2 ** 14
@@ -567,244 +573,189 @@ class BandSet:
         }
 
 
+def _sign_changes(u):
+    """Sign changes along axis 0, by sign bit (+0 counts as positive)."""
+    neg = np.signbit(u)
+    return np.count_nonzero(neg[1:] != neg[:-1], axis=0)
+
+
+def _quarter_turn_steps(h, a, vbar, E):
+    """Magnus step planes of the steps (h, a, vbar), each cut into m equal
+    sub-steps whose phase sqrt(h^2 (E - vbar) - a^2) / m stays below a
+    quarter turn at every energy: exp(Omega / m) ** m = exp(Omega), and such
+    a step cannot carry the solution across two zeros."""
+    phase2 = np.max(h * h * (np.max(E, initial=0.0) - vbar) - a * a)
+    m = max(1, math.ceil(math.sqrt(max(phase2, 0.0)) / (0.5 * math.pi)))
+    return _magnus_steps(h / m, np.repeat(a / m, m), np.repeat(vbar, m), E)
+
+
+def rotation_count(system, E):
+    """Sturm oscillation count over one period: the number of Dirichlet
+    eigenvalues below each real energy of a 1-d batch.
+
+    The Dirichlet solution starts from the state (1, 0): (u', u) for the
+    continuum, (u(0), u(-1)) for the discrete kind.
+      continuum  the zeros of u in (0, period), that is, how often its lifted
+                 Pruefer angle atan2(u, u') passes a multiple of pi (it only
+                 passes upwards).  u is read at the ends of every Magnus step
+                 and of the free stretches, cut so that each turns by less
+                 than a quarter turn; a sign change of u is then one zero.
+      discrete   (n - 1) minus the sign changes of u(0), ..., u(n - 1), the
+                 Sturm sequence of the Dirichlet matrix on sites 0 .. n - 2.
+    By the oscillation theorem for Hill's equation (Magnus & Winkler,
+    *Hill's Equation*, 1966) one Dirichlet eigenvalue lies in each closed
+    gap, at a zero of the monodromy entry M[1, 0] = u(period) (u(n - 1)).
+    So the count is k inside band k (counted from 0), and k - 1 or k inside
+    the gap above band k - 1; it steps only at those zeros.
+    """
+    E = np.asarray(E, dtype=float)
+    if system.kind == "discrete":
+        u = system._prefix_table(E)[:-1, :, 0, 0]
+        if system.sites > 1:
+            # an eigenvalue at E is not below it: u(n - 1) = 0 is a change
+            u[-1] = np.where(u[-1] == 0.0, -u[-2], u[-1])
+        return system.sites - 1 - _sign_changes(u)
+
+    def run(block):
+        u = np.zeros((2, block.shape[0]))
+        u[0] = 1.0
+        zeros = 0
+        scans = {}
+        for _, length, piece in system._segments:
+            key = length if piece is None else piece
+            if key not in scans:
+                steps = ((length, 0.0, 0.0) if piece is None
+                         else (piece._h, piece._a, piece._vbar))
+                scans[key] = sl2.plane_scan(_quarter_turn_steps(*steps, block))
+            Q = scans[key]
+            q = Q[1, 0] * u[0] + Q[1, 1] * u[1]
+            zeros = zeros + _sign_changes(q)
+            u = np.stack([Q[0, 0, -1] * u[0] + Q[0, 1, -1] * u[1], q[-1]])
+            u /= np.max(np.abs(u), axis=0)
+        return zeros
+
+    return system._chunked(E, run)
+
+
+# edges and Dirichlet eigenvalues are refined to the last few ulps; a gap
+# between inside energies is first bisected to _GAP_WIDTH max(1, |E|)
+_EDGE_TOL = dict(xtol=1e-14, rtol=8.9e-16)
+_GAP_WIDTH = 1e-6
+
+
 def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
                   tangency_tol: float = 1e-9, budget: int = 2_000_000) -> BandSet:
-    """Locate the closed-band decomposition of [e_min, e_max].
+    """Closed bands of [e_min, e_max], certified by rotation_count.
 
-    Bands are maximal intervals with |trace| <= 2, split at interior
-    tangency points where the trace touches +-2, so touching bands are
-    reported separately and closed gaps are kept visible.
-
-    Each stage is batched over all bands, so the number of ``trace``
-    calls grows with the iterations of the slowest bracket, not with the
-    number of bands: the scan and its 4x refinement of outside runs; the
-    bisections that look for a band between two outside samples of
-    opposite sign (all such pairs step together); the band edges (one
-    lockstep ``util.brentq`` solve); the tangency grids of all bands (one
-    call); the ``trace_derivative`` roots of all tangency candidates; and
-    both edges of every micro-gap.  Every bracket runs the same iteration
-    it would run alone, so the edges do not depend on the batching.
-    ``budget`` bounds the number of trace evaluations.
+    Bands are maximal intervals with |trace| <= 2, split where the trace
+    touches +-2, so touching bands and closed gaps stay visible.  An energy's
+    level is 2k + 1 in band k and 2k in the gap above k bands, where the
+    trace sign, (-1)^k (continuum) or (-1)^(n - k) (period n), tells whether
+    the count is k - 1 or k.  Levels are read at the ends of the scan of
+    grid + 1 energies and of its runs of inside samples; where a level rises
+    more than the samples show, a band or a gap hides, and such intervals
+    are bisected in lockstep.  A gap between inside energies closer than
+    _GAP_WIDTH is placed at its Dirichlet eigenvalue, a root of M[1, 0]: a
+    micro-gap if |trace| > 2 + tangency_tol there, else a touching point.
+    A count that the trace cannot match raises ResolutionError, so ``grid``
+    only sets how much bisection is needed.  Edges are roots of trace = +-2,
+    each lockstep ``util.brentq`` lane running its solo iteration.  ``budget``
+    bounds the energies where the trace, the count or M[1, 0] is evaluated.
     """
     if not e_max > e_min:
         raise ValidationError("need e_max > e_min")
+    if grid < 1:
+        raise ValidationError(f"band scan needs 'grid' >= 1, got {grid!r}")
     used = [0]
 
-    def tr_of(Es):
-        Es = np.atleast_1d(np.asarray(Es, dtype=float))
+    def spend(Es):
         used[0] += Es.shape[0]
         if used[0] > budget:
+            raise ResolutionError(f"band scan exceeded its budget of {budget} energies")
+        return Es
+
+    def tr_of(Es):
+        return np.atleast_1d(system.trace(spend(np.atleast_1d(Es))))
+
+    def level(Es, trs):
+        c = rotation_count(system, spend(Es))
+        parity = system.sites if system.kind == "discrete" else 0
+        return np.where(np.abs(trs) <= 2.0, 2 * c + 1,
+                        2 * (c + (c + parity + (trs < 0.0)) % 2))
+
+    def check(bad, lo, hi):
+        for k in np.flatnonzero(bad)[:1]:
             raise ResolutionError(
-                f"band scan exceeded its evaluation budget ({budget})"
-            )
-        return np.atleast_1d(system.trace(Es))
+                "the oscillation count disagrees with the trace between "
+                f"{float(lo[k])!r} and {float(hi[k])!r}")
 
-    Es = np.linspace(e_min, e_max, grid + 1)
-    trs = tr_of(Es)
-
-    # refine outside runs once at 4x density to expose narrow bands
-    inside = np.abs(trs) <= 2.0
-    extra = []
-    i = 0
-    while i <= grid:
-        if not inside[i]:
-            j = i
-            while j + 1 <= grid and not inside[j + 1]:
-                j += 1
-            lo = Es[max(i - 1, 0)]
-            hi = Es[min(j + 1, grid)]
-            step = (Es[1] - Es[0]) / 4.0
-            if hi > lo:
-                extra.append(np.arange(lo + step, hi, step))
-            i = j + 1
-        else:
-            i += 1
-    if extra:
-        newE = np.concatenate(extra)
-        newT = tr_of(newE)
-        Es = np.concatenate([Es, newE])
-        trs = np.concatenate([trs, newT])
-        order = np.argsort(Es)
-        Es, trs = Es[order], trs[order]
-
-    # both-outside sign changes must contain a band: bisect until found
-    inside = np.abs(trs) <= 2.0
-    pair = np.flatnonzero(~inside[:-1] & ~inside[1:] & (trs[:-1] * trs[1:] < 0))
-    a, fa, b, fb = Es[pair], trs[pair], Es[pair + 1], trs[pair + 1]
-    add_pts, add_trs = [], []
-    for _ in range(200):
+    E = np.linspace(e_min, e_max, grid + 1)
+    tr = tr_of(E)
+    inside = np.abs(tr) <= 2.0
+    runs = np.flatnonzero(np.diff(inside))
+    ref = np.unique(np.r_[0, grid, runs + ~inside[runs]])
+    L = np.full(E.shape, -1)
+    L[ref] = level(E[ref], tr[ref])
+    cut = np.zeros(E.shape, dtype=bool)  # touching points, trace set to +-2
+    while True:
+        inside = (np.abs(tr) <= 2.0) & ~cut
+        seen = np.r_[0, np.cumsum(inside[1:] != inside[:-1])]
+        known = np.flatnonzero(L >= 0)
+        a, b = known[:-1], known[1:]
+        excess = L[b] - L[a] - seen[b] + seen[a]
+        check((excess < 0) | (excess % 2 == 1), E[a], E[b])
+        a, b = a[excess > 0], b[excess > 0]
         if not a.size:
             break
-        m = 0.5 * (a + b)
-        fm = tr_of(m)
-        add_pts.append(m)
-        add_trs.append(fm)
-        left = fa * fm < 0
-        a, fa = np.where(left, a, m), np.where(left, fa, fm)
-        b, fb = np.where(left, m, b), np.where(left, fm, fb)
-        live = ((np.abs(fm) > 2.0)
-                & ~(b - a < 1e-15 * np.maximum(1.0, np.abs(a))))
-        a, fa, b, fb = a[live], fa[live], b[live], fb[live]
-    wide = b - a > 1e-15 * np.maximum(1.0, np.abs(a))
-    if wide.any():
-        raise ResolutionError(
-            f"could not resolve a band inside ({a[wide][0]!r}, {b[wide][0]!r})"
-        )
-    if add_pts:
-        Es = np.concatenate([Es, *add_pts])
-        trs = np.concatenate([trs, *add_trs])
-        order = np.argsort(Es)
-        Es, trs = Es[order], trs[order]
+        # read the middle sample's level, halve an interval between adjacent
+        # energies, or place the one gap between close inside energies
+        far = b - a > 1
+        pick = (a + b)[far] // 2
+        a, b = a[~far], b[~far]
+        narrow = (inside[a] & inside[b] & (L[b] - L[a] == 2) & (
+            E[b] - E[a] <= _GAP_WIDTH * np.maximum(1.0, np.abs(E[a]))))
+        lo, hi = E[a[~narrow]], E[b[~narrow]]
+        mid = 0.5 * (lo + hi)
+        check((mid <= lo) | (mid >= hi), lo, hi)
+        a, b = a[narrow], b[narrow]
+        mu = util.brentq(lambda x, lanes: system.monodromy(spend(x))[:, 1, 0],
+                         E[a], E[b], maxiter=200, **_EDGE_TOL)
+        tr_mu = tr_of(mu) if mu.size else mu
+        check(np.abs(tr_mu) < 2.0 - tangency_tol, E[a], E[b])
+        touch = np.abs(tr_mu) <= 2.0 + tangency_tol
+        tr_mid = tr_of(mid) if mid.size else mid
+        new_L = level(np.r_[E[pick], mid], np.r_[tr[pick], tr_mid])
+        L[pick] = new_L[:pick.size]
+        E = np.r_[E, mid, mu]
+        tr = np.r_[tr, tr_mid, np.where(touch, np.copysign(2.0, tr_mu), tr_mu)]
+        L = np.r_[L, new_L[pick.size:], L[a] + 1]
+        cut = np.r_[cut, np.zeros(mid.shape, dtype=bool), touch]
+        order = np.lexsort((L, E))
+        E, tr, L, cut = E[order], tr[order], L[order], cut[order]
 
-    # inside runs [starts[r], ends[r]]; each run's outer edges are refined
-    # between its end samples and their outside neighbours
-    inside = np.abs(trs) <= 2.0
-    npts = len(Es)
-    step = np.diff(np.concatenate([[0], inside.astype(np.int8), [0]]))
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1) - 1
-    has_lo, has_hi = starts > 0, ends < npts - 1
-    edges = _band_edges(
-        tr_of, Es, trs,
-        np.concatenate([starts[has_lo] - 1, ends[has_hi] + 1]),
-        np.concatenate([starts[has_lo], ends[has_hi]]),
-    )
-    n_lo = int(has_lo.sum())
-    lo_edges, hi_edges = iter(edges[:n_lo]), iter(edges[n_lo:])
-    raw_bands = []
-    for i, j in zip(starts, ends):
-        lo, lo_sign = (Es[0], 0) if i == 0 else next(lo_edges)
-        hi, hi_sign = (Es[-1], 0) if j == npts - 1 else next(hi_edges)
-        if hi > lo:
-            raw_bands.append((lo, hi, lo_sign, hi_sign))
-
-    # split bands at interior tangencies (|trace| returning to 2 inside)
-    splits = _tangencies(system, tr_of, raw_bands, grid, tangency_tol)
-    final = []
-    for (lo, hi, lo_sign, hi_sign), cuts in zip(raw_bands, splits):
-        cuts.sort()
-        # near-duplicate refinements of the same touching point collapse
-        deduped = []
-        for s in cuts:
-            if deduped and abs(s[0] - deduped[-1][1]) <= 1e-9 * max(1.0, abs(s[0])):
-                continue
-            deduped.append(s)
-        cur_lo, cur_losgn = lo, lo_sign
-        for sL, sR, sgn in deduped:
-            if sL <= cur_lo or sR >= hi:
-                continue
-            final.append(Band(cur_lo, sL, cur_losgn, sgn))
-            cur_lo, cur_losgn = sR, sgn
-        final.append(Band(cur_lo, hi, cur_losgn, hi_sign))
-
-    final.sort(key=lambda b: b.lo)
-    return BandSet(
-        bands=tuple(final),
-        kind=system.kind,
-        period=system.period,
-        e_min=e_min,
-        e_max=e_max,
-    )
-
-
-# band edges and tangencies are refined to the last few ulps
-_EDGE_TOL = dict(xtol=1e-14, rtol=8.9e-16)
-
-
-def _band_edges(tr_of, Es, trs, i_out, i_in):
-    """(edge, sign) where |trace| crosses 2 between each outside sample
-    i_out and its inside neighbour i_in, all brackets solved together."""
-    sign = np.where(trs[i_out] >= 0.0, 1, -1)
-    two = 2.0 * sign
-    out_first = Es[i_out] < Es[i_in]
-    a = np.where(out_first, Es[i_out], Es[i_in])
-    b = np.where(out_first, Es[i_in], Es[i_out])
-    fa = np.where(out_first, trs[i_out], trs[i_in]) - two
-    fb = np.where(out_first, trs[i_in], trs[i_out]) - two
-    # a zero at an end is the edge; same signs mean the inside sample sits
-    # within tolerance of the edge already
-    edge = np.where(fa == 0.0, a, np.where(fb == 0.0, b, Es[i_in]))
-    edges = list(zip(edge, sign.tolist()))
-    k = np.flatnonzero((fa != 0.0) & (fb != 0.0) & ~(fa * fb > 0))
-    roots = util.brentq(lambda x, lanes: tr_of(x) - two[k[lanes]],
-                        a[k], b[k], maxiter=200, fa=fa[k], fb=fb[k], **_EDGE_TOL)
-    for kk, r in zip(k.tolist(), roots.tolist()):
-        edges[kk] = (r, edges[kk][1])
-    return edges
-
-
-def _tangencies(system, tr_of, raw_bands, grid, tangency_tol):
-    """Per band, the (lo, hi, sign) cuts where |trace| returns to 2 inside
-    it: a touching point (lo == hi) or a micro-gap between two edges."""
-    splits = [[] for _ in raw_bands]
-    if not raw_bands:
-        return splits
-    m = max(64, min(512, grid // len(raw_bands)))
-    gridE = np.stack([np.linspace(lo, hi, m + 1) for lo, hi, _, _ in raw_bands])
-    gtr = tr_of(gridE.ravel()).reshape(gridE.shape)
-    g = np.abs(gtr)
-    # sampled maxima can sit visibly below 2 when the grid straddles the
-    # touching point, so the filter stays loose and the refined trace value
-    # decides
-    peak = (g[:, 1:-1] >= g[:, :-2]) & (g[:, 1:-1] >= g[:, 2:]) & (g[:, 1:-1] >= 1.9)
-    band, idx = np.nonzero(peak)
-    if not band.size:
-        return splits
-    idx = idx + 1
-    aE, bE = gridE[band, idx - 1], gridE[band, idx + 1]
-    d = system.trace_derivative(np.concatenate([aE, bE]))
-    da, db = d[:band.size], d[band.size:]
-    turn = da * db < 0
-    band, idx, aE, bE, da, db = (v[turn] for v in (band, idx, aE, bE, da, db))
-    if not band.size:
-        return splits
-    Estar = util.brentq(
-        lambda x, lanes: system.trace_derivative(x),
-        aE, bE, maxiter=200, fa=da, fb=db, **_EDGE_TOL)
-    tstar = tr_of(Estar)
-    sgn = np.where(tstar >= 0.0, 1, -1)
-    touch = np.abs(tstar) >= 2.0 - tangency_tol
-    # a genuine micro-gap: refine both crossing edges, each bracketed by
-    # the nearest grid sample inside the band on its side of the peak (a
-    # gap wider than the grid step leaves the peak's neighbours outside)
-    gap = np.flatnonzero(touch & (np.abs(tstar) > 2.0 + tangency_tol))
-    rows, peak_at = band[gap], idx[gap][:, None]
-    inside = sgn[gap][:, None] * gtr[rows] <= 2.0
-    cols = np.arange(m + 1)
-    left = np.where(inside & (cols < peak_at), cols, -1).max(axis=1)
-    right = np.where(inside & (cols > peak_at), cols, m + 1).min(axis=1)
-    lost = (left < 0) | (right > m)
-    if lost.any():
-        c = gap[lost][0]
-        raise ResolutionError(
-            f"micro-gap at {float(Estar[c])!r} reaches past its band's "
-            "tangency grid"
-        )
-    two = np.tile(2.0 * sgn[gap], 2)
-    ends = util.brentq(
-        lambda x, lanes: tr_of(x) - two[lanes],
-        np.concatenate([gridE[rows, left], Estar[gap]]),
-        np.concatenate([Estar[gap], gridE[rows, right]]),
-        fa=np.concatenate([gtr[rows, left], tstar[gap]]) - two,
-        fb=np.concatenate([tstar[gap], gtr[rows, right]]) - two,
-        **_EDGE_TOL).tolist()
-    gap_ends = dict(zip(gap.tolist(), zip(ends[:gap.size], ends[gap.size:])))
-    for c in np.flatnonzero(touch).tolist():
-        eL, eR = gap_ends.get(c, (float(Estar[c]), float(Estar[c])))
-        splits[band[c]].append((eL, eR, int(sgn[c])))
-    return splits
+    # each run of inside energies is one band; its ends are roots of
+    # trace = +-2 against their outside neighbours, or the scan ends (sign 0)
+    step = np.diff(np.r_[0, inside.astype(np.int8), 0])
+    ins = np.r_[np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1]
+    outs = ins + np.repeat([-1, 1], ins.size // 2)
+    solve = (outs >= 0) & (outs < E.shape[0])
+    ends, sign = E[ins], np.zeros(ins.size, dtype=int)
+    sign[solve] = np.where(tr[outs[solve]] >= 0.0, 1, -1)
+    lo, hi = np.sort([ins[solve], outs[solve]], axis=0)
+    two = 2.0 * sign[solve]
+    ends[solve] = util.brentq(lambda x, lanes: tr_of(x) - two[lanes], E[lo],
+                              E[hi], maxiter=200, fa=tr[lo] - two,
+                              fb=tr[hi] - two, **_EDGE_TOL)
+    half, ends, sign = ins.size // 2, ends.tolist(), sign.tolist()
+    bands = [Band(*band) for band in zip(ends[:half], ends[half:], sign[:half],
+                                         sign[half:]) if band[1] > band[0]]
+    return BandSet(tuple(bands), system.kind, system.period, e_min, e_max)
 
 
 def discrete_band_spectrum(system: DiscreteCocycle, **kw) -> BandSet:
-    """Full spectrum of a discrete period-n operator; checks the band count."""
-    lo, hi = system.scan_range()
-    bs = band_spectrum(system, lo, hi, **kw)
-    if len(bs) != system.sites:
-        raise ResolutionError(
-            f"found {len(bs)} bands for a period-{system.sites} operator; "
-            "increase the scan grid"
-        )
-    return bs
+    """Full spectrum of a discrete period-n operator: its n bands, which
+    band_spectrum's oscillation count certifies over scan_range."""
+    return band_spectrum(system, *system.scan_range(), **kw)
 
 
 # ---------------------------------------------------------------------------

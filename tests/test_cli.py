@@ -177,6 +177,10 @@ def _broken_arc_length(doc):
     del doc["stages"][0]["arc_length"]
 
 
+def _keep(doc):
+    """No break: the command line is at fault."""
+
+
 def _set(value, *path):
     """A break that puts a value of the wrong type at path in the doc."""
     def breaks(doc):
@@ -192,36 +196,51 @@ def _padded_tower():
         deform.PaddingSpec(0.05, 4, 2), 0.4)
 
 
-@pytest.mark.parametrize("source, breaks, field", [
-    (lambda: load_descriptor(desc("v0.json")), _broken_bump_width, "width"),
-    (lambda: load_descriptor(desc("cos2.json")), _broken_tcos_amp, "amp"),
-    (lambda: potentials.DiscretePotential((0.5, -0.5)), _broken_values, "values"),
+@pytest.mark.parametrize("source, breaks, field, command", [
+    (lambda: load_descriptor(desc("v0.json")), _broken_bump_width, "width", None),
+    (lambda: load_descriptor(desc("cos2.json")), _broken_tcos_amp, "amp", None),
+    (lambda: potentials.DiscretePotential((0.5, -0.5)), _broken_values, "values",
+     None),
     (lambda: solenoid.base_stage(load_descriptor(desc("v0.json"))),
-     _broken_arc_length, "arc_length"),
+     _broken_arc_length, "arc_length", None),
     # integer fields: int() would read 2.9 as 2 and true as 1
-    (lambda: load_descriptor(desc("circle.json")), _set(2.9, "period"), "period"),
-    (lambda: load_descriptor(desc("circle.json")), _set(True, "period"), "period"),
-    (lambda: load_descriptor(desc("cos2.json")), _set(2.5, "n1"), "n1"),
+    (lambda: load_descriptor(desc("circle.json")), _set(2.9, "period"), "period",
+     None),
+    (lambda: load_descriptor(desc("circle.json")), _set(True, "period"), "period",
+     None),
+    (lambda: load_descriptor(desc("cos2.json")), _set(2.5, "n1"), "n1", None),
     (lambda: load_descriptor(desc("cos2.json")),
-     _set(2.5, "expr", "terms", 1, "period"), "period"),
+     _set(2.5, "expr", "terms", 1, "period"), "period", None),
     (lambda: load_descriptor(desc("cos2.json")),
-     _set(False, "expr", "terms", 1, "harmonic"), "harmonic"),
+     _set(False, "expr", "terms", 1, "harmonic"), "harmonic", None),
     (lambda: solenoid.base_stage(load_descriptor(desc("v0.json"))),
-     _set(True, "stages", 0, "depth"), "depth"),
+     _set(True, "stages", 0, "depth"), "depth", None),
     (lambda: solenoid.base_stage(load_descriptor(desc("v0.json"))),
-     _set(1.5, "stages", 0, "multiplicity"), "multiplicity"),
-    (_padded_tower, _set(1.5, "stages", 1, "windows", 0, "block"), "block"),
+     _set(1.5, "stages", 0, "multiplicity"), "multiplicity", None),
+    (_padded_tower, _set(1.5, "stages", 1, "windows", 0, "block"), "block",
+     None),
+    # scan options: a grid below 1 or a negative count
+    (lambda: load_descriptor(desc("v0.json")), _keep, "grid",
+     ["bands", "--grid", "0"]),
+    (lambda: load_descriptor(desc("cos3.json")), _keep, "grid",
+     ["bands", "--grid", "-5"]),
+    (lambda: load_descriptor(desc("cos3.json")), _keep, "--count",
+     ["sweep", "--quantity", "ids", "--count", "-1"]),
 ], ids=["bump-width", "tcos-amp", "discrete-values", "tower-arc_length",
         "circle-period-float", "circle-period-bool", "family-n1",
         "jcos-period", "jcos-harmonic-bool", "tower-depth-bool",
-        "tower-multiplicity", "tower-block"])
-def test_malformed_fields_are_usage_errors(tmp_path, capsys, source, breaks, field):
+        "tower-multiplicity", "tower-block", "bands-grid-zero",
+        "bands-grid-negative", "sweep-count-negative"])
+def test_malformed_fields_are_usage_errors(tmp_path, capsys, source, breaks, field,
+                                          command):
     doc = cli.descriptor_json(source())
     breaks(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    command = command or ["bands"]
     argv = (["tower", "trace", "--in", str(path), "--tmax", "1"]
-            if doc["kind"] == "tower" else ["bands", "--potential", str(path)])
+            if doc["kind"] == "tower"
+            else command[:1] + ["--potential", str(path)] + command[1:])
     assert dispatch(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
@@ -452,7 +471,7 @@ def test_no_module_imports_scipy_but_the_tracer_shim():
 
 def _gap_bump_trace(self, E):
     # one wide band with a micro-gap at 4.5 that the 16-point scan steps
-    # over but three points of the tangency grid fall in
+    # over; v0's oscillation count has bands and gaps this trace lacks
     return 1.0 + 2.0 * np.exp(-((np.asarray(E) - 4.5) / 0.4) ** 2)
 
 
@@ -465,14 +484,13 @@ def test_solver_failures_exit_cleanly(tmp_path, monkeypatch, capsys):
              "0.05", "--N", "4", "--n", "2", "--eps0", "0.4",
              "--out", str(tmp_path / "t.json")]
     with monkeypatch.context() as m:
-        # a micro-gap wider than the tangency grid step is bracketed by the
-        # nearest inside samples, so its edges are found
+        # a trace that the oscillation count contradicts: exit 1, one line
         m.setattr(cyc.ContinuumCocycle, "trace", _gap_bump_trace)
-        assert dispatch(bands) == 0
-    rows = read(str(tmp_path / "b.csv")).splitlines()[2:]
-    half = 0.4 * np.sqrt(np.log(2.0))
-    edges = [float(v) for row in rows for v in row.split(",")]
-    assert edges == pytest.approx([-4.0, 4.5 - half, 4.5 + half, 12.0], abs=1e-12)
+        assert dispatch(bands) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: the oscillation count disagrees")
+    assert not (tmp_path / "b.csv").exists()
     with monkeypatch.context() as m:
         m.setattr(solenoid, "ramp_profile",
                   lambda s, beta: np.full(np.shape(s), np.nan))

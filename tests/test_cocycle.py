@@ -605,10 +605,12 @@ class TestBandSpectrum:
 
     def test_batched_solves_equal_solo_solves(self, monkeypatch):
         # every bracket solved alone, with its end values evaluated afresh,
-        # gives the bits of the lockstep solves; the well runs the edge,
-        # tangency and micro-gap solves
-        sysm = ContinuumCocycle(cosine_well_potential())
-        batched = band_spectrum(sysm, -4.0, 40.0)
+        # gives the bits of the lockstep solves; the well runs the edge solve
+        # (bisection finds its micro-gap near E = 38.8) and the free operator
+        # the Dirichlet-eigenvalue solves of its touching points too
+        cases = [(ContinuumCocycle(cosine_well_potential()), -4.0, 40.0),
+                 (free_cocycle(2.0), -0.5, 41.0)]
+        batched = [band_spectrum(*case) for case in cases]
         lockstep = util.brentq
         sizes = []
 
@@ -619,8 +621,15 @@ class TestBandSpectrum:
                 for k, (ak, bk) in enumerate(zip(a, b))])
 
         monkeypatch.setattr(util, "brentq", solo)
-        assert band_spectrum(sysm, -4.0, 40.0) == batched
-        assert len(sizes) == 3 and min(sizes) >= 1
+        for case, want, touching in zip(cases, batched, (0, 4)):
+            sizes.clear()
+            assert band_spectrum(*case) == want
+            # one Dirichlet solve per touching point, then one stage for
+            # every band edge inside the scan
+            solved = [n for n in sizes if n]
+            assert sum(solved[:-1]) == touching
+            assert solved[-1] == sum(abs(b.lo_sign) + abs(b.hi_sign)
+                                     for b in want.bands)
 
     def test_padded_bump_trace_calls(self, monkeypatch):
         # all brackets of a stage share each trace call: 1061 calls when
@@ -639,6 +648,59 @@ class TestBandSpectrum:
         assert len(bs) == 35
         assert len(calls) <= 100
 
+    def test_micro_gap_placed_by_dirichlet_eigenvalue(self, monkeypatch):
+        # period 3, v = (0, eps, 0): trace E^3 - 3E - eps (E^2 - 1), so the
+        # gaps run from -1 and from 1 to the roots of the quadratics below,
+        # and the Dirichlet eigenvalues, near +-1 + eps / 2, lie inside them;
+        # a 16-point scan misses both gaps, and with no bisection they are
+        # placed from the Dirichlet eigenvalues at once
+        eps = 1e-3
+        monkeypatch.setattr(cocycle, "_GAP_WIDTH", 1.0)
+        sysm = DiscreteCocycle(DiscretePotential((0.0, eps, 0.0)))
+        bs = discrete_band_spectrum(sysm, grid=16)
+        above = [np.min(np.roots([1.0, -(1.0 + eps), eps - 2.0])),
+                 np.max(np.roots([1.0, 1.0 - eps, -2.0 - eps]))]
+        assert [b.hi for b in bs.bands[:2]] == pytest.approx([-1.0, 1.0], abs=1e-12)
+        assert [b.lo for b in bs.bands[1:]] == pytest.approx(above, abs=1e-12)
+
+    def test_hidden_band_raises(self, monkeypatch):
+        # a trace that hides the padded bump's narrow lowest band (and the
+        # micro-gap above it) behind one gap: the oscillation count still
+        # steps twice there, so the scan cannot pass
+        sysm = ContinuumCocycle(deform.pad(smooth_bump_potential(),
+                                           deform.PaddingSpec(0.05, 4, 2)))
+        trace = ContinuumCocycle.trace
+
+        def hiding(self, E):
+            tr = np.asarray(trace(self, E))
+            return np.where((0.43 < E) & (E < 0.448), 3.0, tr)
+
+        monkeypatch.setattr(ContinuumCocycle, "trace", hiding)
+        with pytest.raises(ResolutionError, match="oscillation count"):
+            band_spectrum(sysm, -1.0, 12.0)
+
+    def test_scan_energy_count(self, monkeypatch):
+        # the benchmark's padded bump at grid 1024: the 1025 scan energies
+        # and 7 band-edge solves of 4 lanes, with 7 count energies; the
+        # former refinement and tangency stages made it 3,181 trace energies
+        sysm = workload_bump()
+        traced, counted = [], []
+        trace, count = ContinuumCocycle.trace, cocycle.rotation_count
+
+        def traced_trace(self, E):
+            traced.append(np.size(E))
+            return trace(self, E)
+
+        def counted_count(system, E):
+            counted.append(np.size(E))
+            return count(system, E)
+
+        monkeypatch.setattr(ContinuumCocycle, "trace", traced_trace)
+        monkeypatch.setattr(cocycle, "rotation_count", counted_count)
+        assert len(band_spectrum(sysm, -0.5, 5.0, grid=1024)) == 3
+        assert sum(traced) <= 1025 + 40 and len(traced) <= 12
+        assert sum(counted) <= 8 and len(counted) == 1
+
     def test_micro_gap_wider_than_tangency_grid(self):
         # near E = -0.77 the padded well has a micro-gap whose left edge
         # lies more than one tangency grid step left of the peak, so the
@@ -653,6 +715,71 @@ class TestBandSpectrum:
         assert np.max(np.abs(np.abs(sysm.trace(inner)) - 2.0)) <= 1e-10
         near = [b for b in bs.bands if -0.78 < b.lo < -0.76 or -0.78 < b.hi < -0.76]
         assert len(near) == 2 and near[0].hi < near[1].lo
+
+
+DESCRIPTORS = os.path.join(os.path.dirname(__file__), "..", "descriptors")
+
+
+def dirichlet_fd_eigenvalues(pot, E_max, h=1e-3):
+    """Eigenvalues below E_max of -u'' + V u on [0, period] with u = 0 at
+    both ends, by the second-order stencil."""
+    x = np.arange(1, round(pot.period / h)) * h
+    off = np.full(x.size - 1, -1.0 / h ** 2)
+    return eigvalsh_tridiagonal(2.0 / h ** 2 + pot(x), off, select="v",
+                                select_range=(-50.0, E_max))
+
+
+class TestRotationCount:
+    """The oscillation count against independent oracles."""
+
+    @pytest.mark.parametrize("name", ["alternating.json", "cos2.json",
+                                      "cos3.json", "cos5.json", "free.json"])
+    def test_discrete_count_is_dirichlet_eigenvalues_below(self, name):
+        pot = load_descriptor(os.path.join(DESCRIPTORS, name)).slice(0.0)
+        sysm = DiscreteCocycle(pot)
+        v = np.asarray(pot.values)
+        n = v.size
+        # sites 0 .. n - 2 with u(-1) = u(n - 1) = 0
+        mu = np.linalg.eigvalsh(np.diag(v[:-1]) + np.eye(n - 1, k=1)
+                                + np.eye(n - 1, k=-1))
+        E = np.linspace(*sysm.scan_range(), 2001)
+        want = np.searchsorted(mu, E)
+        assert np.array_equal(cocycle.rotation_count(sysm, E), want)
+
+    @pytest.mark.parametrize("pot", [
+        lambda: load_descriptor(os.path.join(DESCRIPTORS, "v0.json")),
+        cosine_well_potential,
+        lambda: deform.pad(smooth_bump_potential(), deform.PaddingSpec(0.05, 4, 2)),
+    ], ids=["v0", "well", "padded-bump"])
+    def test_continuum_count_numbers_bands_and_gaps(self, pot):
+        sysm = ContinuumCocycle(pot())
+        bs = band_spectrum(sysm, *sysm.scan_range(12.0))
+        lo, hi = (np.array([getattr(b, f) for b in bs.bands]) for f in ("lo", "hi"))
+        k = np.arange(lo.size)
+        # band k, counted from the bottom of the spectrum
+        inner = np.concatenate([lo + f * (hi - lo) for f in (0.1, 0.5, 0.9)])
+        assert np.array_equal(cocycle.rotation_count(sysm, inner), np.tile(k, 3))
+        # above k bands the count is k - 1 or k, and the trace sign (-1)^k
+        # tells which: with it the count is the number of bands below
+        gaps = 0.5 * (hi[:-1] + lo[1:])
+        c = cocycle.rotation_count(sysm, gaps)
+        assert np.array_equal(c + (c + (sysm.trace(gaps) < 0.0)) % 2, k[1:])
+        # a finite-difference Dirichlet problem counts the same eigenvalues
+        mu = dirichlet_fd_eigenvalues(sysm.pot, 13.0)
+        E = np.linspace(*sysm.scan_range(12.0), 3001)
+        E = E[np.min(np.abs(E[:, None] - mu[None, :]), axis=1) > 1e-3]
+        assert np.array_equal(cocycle.rotation_count(sysm, E),
+                              np.searchsorted(mu, E))
+
+    def test_free_count_through_long_steps(self):
+        # one free stretch of length 2 turns by sqrt(E) L, more than a half
+        # turn above E = 2.5: it is cut into quarter turns, and sin(sqrt(E) x)
+        # has floor(2 sqrt(E) / pi) zeros in (0, 2) where that is no integer
+        E = np.linspace(-3.0, 900.0, 5001)
+        want = np.floor(2.0 * np.sqrt(np.maximum(E, 0.0)) / math.pi)
+        exact = np.abs(2.0 * np.sqrt(np.maximum(E, 0.0)) / math.pi - want) < 1e-9
+        got = cocycle.rotation_count(free_cocycle(2.0), E)
+        assert np.array_equal(got[~exact], want[~exact])
 
 
 class TestIdsAndDensity:
@@ -949,8 +1076,11 @@ class TestUniformness:
         monkeypatch.setattr(cocycle, "density", counted)
         rep = uniformness_check(sysm, bs, 0.5)
         assert len(rep.band_deficits) == len(bs) == 3
-        assert len(calls) == 66
-        assert sum(calls) == 527
+        # the crossing solves' iteration counts follow the last bits of the
+        # band edges: 66 calls over 527 energies with the edges of the
+        # former heuristic band scan
+        assert len(calls) == 64
+        assert sum(calls) == 525
 
 
 class TestPropertyComposition:
