@@ -21,8 +21,16 @@ carried along the period by the prefix transfers, batched over energies.
 Every continuum propagator is a product of closed-form exponentials
 c I + s Omega of traceless matrices, with (c, s) = (cos w, sin w / w) entire
 in w^2, so traces extend to complex energy and derivatives are taken by
-complex step.  Zero stretches of the potential are crossed in one exact
-step (free_block).  Nonzero pieces are crossed by fourth-order two-node
+complex step.  For real x = w^2 with |x| <= _SERIES_RADIUS, which holds for
+every Magnus step at moderate energies, (c, s) are Taylor series in x at one
+fixed degree: no transcendental call, and within 2^-52 relative.  Other real
+x, and all complex x, go through sqrt, cos and sin.  The branch is chosen per
+element, never from a whole batch (a degree read off a block's largest |x|
+would make results depend on how energies are blocked).  Complex x stay on
+libm because numpy's complex multiply can round differently in a loop's
+vector body and its tail, so a complex series would depend on array length.
+Zero stretches of the potential are crossed in one exact step
+(free_block).  Nonzero pieces are crossed by fourth-order two-node
 Gauss-Magnus steps (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 2009): for this generator the commutator term does not
 depend on E, so V is sampled once per piece and each step has determinant
@@ -61,14 +69,27 @@ _MAX_STEPS = 2 ** 14
 # by about a factor of ten over this range and stayed below its top up to
 # E = 1e5
 _PROBE_OFFSETS = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
+# real x with |x| <= _SERIES_RADIUS take the Taylor series of cos sqrt(x) and
+# sin sqrt(x) / sqrt(x) at degree _SERIES_DEGREE; the radius is the largest
+# double at which the dropped tail sum_{k > degree} |x|^k / (2k)! is below
+# 2^-55.  Every Magnus step of the benchmark's padded bump up to E = 5 has
+# |x| <= 8e-5; degree 5 covers such steps up to E of about 3000.
+_SERIES_DEGREE = 5
+_SERIES_RADIUS = 0.048670055640572626
+_COS_COEFS = tuple((-1) ** k / math.factorial(2 * k)
+                   for k in range(_SERIES_DEGREE, -1, -1))
+_SINC_COEFS = tuple((-1) ** k / math.factorial(2 * k + 1)
+                    for k in range(_SERIES_DEGREE, -1, -1))
 # identifies the numerics behind every piece propagator; results computed
 # under another engine must not be served from a cache
 ENGINE = (f"gauss-magnus4 step-doubling tol={_TOL!r} "
           f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS} "
+          f"cos-sinc=taylor{_SERIES_DEGREE}+libm "
           "density=invariant-section bands=sturm-count")
 # energies, and energy-steps of the longest piece, per block; see _batch
 _CHUNK = 256
 _BLOCK_STEPS = 3 * 2 ** 14
+# complex x with |x| below this take a quadratic series in place of libm
 _SMALL_X = 1e-10
 
 
@@ -88,6 +109,14 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 
+def _horner(x, coefs, out):
+    """sum coefs[k] x^(len - 1 - k) written into out, highest degree first."""
+    np.multiply(x, coefs[0], out=out)
+    for a in coefs[1:-1]:
+        np.multiply(np.add(out, a, out=out), x, out=out)
+    return np.add(out, coefs[-1], out=out)
+
+
 def _cos_sinc(x, c=None, s=None):
     """cos(sqrt(x)) and sin(sqrt(x))/sqrt(x), entire, for real or complex x,
     written into c and s when given."""
@@ -101,18 +130,19 @@ def _cos_sinc(x, c=None, s=None):
         c[...] = np.where(small, 1.0 - x / 2.0 + x * x / 24.0, np.cos(wsafe))
         s[...] = np.where(small, 1.0 - x / 6.0 + x * x / 120.0, np.sin(wsafe) / wsafe)
         return c, s
-    pos = x > _SMALL_X
-    neg = x < -_SMALL_X
-    mid = ~(pos | neg)
-    w = np.sqrt(x[pos])
-    c[pos] = np.cos(w)
-    s[pos] = np.divide(np.sin(w), w, out=w)
-    w = np.sqrt(np.negative(x[neg]))
-    c[neg] = np.cosh(w)
-    s[neg] = np.divide(np.sinh(w), w, out=w)
-    xm = x[mid]
-    c[mid] = 1.0 - xm / 2.0 + xm * xm / 24.0
-    s[mid] = 1.0 - xm / 6.0 + xm * xm / 120.0
+    with np.errstate(over="ignore"):  # elements past the radius are redone
+        _horner(x, _COS_COEFS, c)
+        _horner(x, _SINC_COEFS, s)
+    pos = x > _SERIES_RADIUS
+    if pos.any():
+        w = np.sqrt(x[pos])
+        c[pos] = np.cos(w)
+        s[pos] = np.divide(np.sin(w), w, out=w)
+    neg = x < -_SERIES_RADIUS
+    if neg.any():
+        w = np.sqrt(np.negative(x[neg]))
+        c[neg] = np.cosh(w)
+        s[neg] = np.divide(np.sinh(w), w, out=w)
     return c, s
 
 
@@ -255,12 +285,19 @@ def _as_batch(E):
     return arr, False
 
 
+def _distinct(a):
+    """The sorted distinct values of a 1-d array, as np.unique gives them;
+    np.unique imports numpy.ma, about 10 ms of a CLI process."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def _times_period_powers(M, ks, A):
     """A[:, i] . M**ks[i] for a (K, len(ks), 2, 2) stack A, written into A.
 
     Each distinct power is computed once; M**-k inverts M**k.
     """
-    for k in np.unique(ks):
+    for k in _distinct(ks):
         if k == 0:
             continue
         P = sl2.power2(M, int(k)) if k > 0 else sl2.inv2(sl2.power2(M, int(-k)))
@@ -343,10 +380,15 @@ class ContinuumCocycle:
         return max(1, min(_CHUNK, _BLOCK_STEPS // steps))
 
     def _chunked(self, E, fn):
-        """Apply fn to energy blocks of self._batch and stack the results."""
+        """Apply fn to energy blocks of self._batch and stack its results, an
+        array or a tuple of arrays, along the energies."""
         size = self._batch
         parts = [fn(E[i:i + size]) for i in range(0, max(E.shape[0], 1), size)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        if len(parts) == 1:
+            return parts[0]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
+        return np.concatenate(parts, axis=0)
 
     def _entry_matrices(self, E):
         """A(0 -> segment start) for each segment, then the monodromy:
@@ -378,7 +420,7 @@ class ContinuumCocycle:
                          len(segs) - 1)
         local = np.minimum(np.maximum(t - starts[idx], 0.0), lengths[idx])
         groups = {}
-        for i in np.unique(idx):
+        for i in _distinct(idx):
             _, length, piece = segs[i]
             groups.setdefault(length if piece is None else piece, []).append(i)
         out = np.empty((E.shape[0], t.shape[0], 2, 2), dtype=entries.dtype)
@@ -393,9 +435,9 @@ class ContinuumCocycle:
 
     prefix = _prefix
 
-    def prefix_grid(self, E, t_grid):
-        """A(E, 0, t) for an ascending array of times; returns (K, Nt, 2, 2)."""
-        Earr, scalar = _as_batch(E)
+    def _grid_and_monodromy(self, E, t_grid):
+        """(prefix_grid(E, t_grid), monodromy(E)) over a 1-d energy batch,
+        both read off one _entry_matrices pass per energy block."""
         t_grid = np.asarray(t_grid, dtype=float)
         T = self.period
         ks = np.floor(t_grid / T).astype(int)
@@ -403,10 +445,15 @@ class ContinuumCocycle:
 
         def run(block):
             entries = self._entry_matrices(block)
-            return _times_period_powers(entries[-1], ks,
-                                        self._in_period(block, rems, entries))
+            grid = self._in_period(block, rems, entries)
+            return _times_period_powers(entries[-1], ks, grid), entries[-1]
 
-        out = self._chunked(Earr, run)
+        return self._chunked(E, run)
+
+    def prefix_grid(self, E, t_grid):
+        """A(E, 0, t) for an ascending array of times; returns (K, Nt, 2, 2)."""
+        Earr, scalar = _as_batch(E)
+        out = self._grid_and_monodromy(Earr, t_grid)[0]
         return out[0] if scalar else out
 
     def transfer(self, E, t0, t1):
@@ -497,14 +544,20 @@ class DiscreteCocycle:
 
     prefix = _prefix
 
+    def _grid_and_monodromy(self, E, sites):
+        """(prefix_grid(E, sites), monodromy(E)) over a 1-d energy batch,
+        both read off one prefix table."""
+        sites = np.asarray(sites, dtype=int)
+        table = self._prefix_table(E)
+        ks = sites // self.sites
+        rems = sites - ks * self.sites
+        return (_times_period_powers(table[-1], ks, table.swapaxes(0, 1)[:, rems]),
+                table[-1])
+
     def prefix_grid(self, E, sites):
         """A(E, 0, j) for an array of integers; returns (K, len, 2, 2)."""
         Earr, scalar = _as_batch(E)
-        sites = np.asarray(sites, dtype=int)
-        table = self._prefix_table(Earr)
-        ks = sites // self.sites
-        rems = sites - ks * self.sites
-        out = _times_period_powers(table[-1], ks, table.swapaxes(0, 1)[:, rems])
+        out = self._grid_and_monodromy(Earr, sites)[0]
         return out[0] if scalar else out
 
     def transfer(self, E, j0, j1):
@@ -693,7 +746,7 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
     tr = tr_of(E)
     inside = np.abs(tr) <= 2.0
     runs = np.flatnonzero(np.diff(inside))
-    ref = np.unique(np.r_[0, grid, runs + ~inside[runs]])
+    ref = _distinct(np.r_[0, grid, runs + ~inside[runs]])
     L = np.full(E.shape, -1)
     L[ref] = level(E[ref], tr[ref])
     cut = np.zeros(E.shape, dtype=bool)  # touching points, trace set to +-2
@@ -776,15 +829,14 @@ def section_points(system, E, times, margin: float = 0.0):
 
     u(E) is the upper-half-plane fixed point of the monodromy and A(E, 0, t)
     the prefix transfer to each time (continuum) or site (discrete) t, so
-    z(E, t) is the fixed point of the monodromy based at t.  Returns a
-    complex (K, len(times)) array, nan on the energies with
-    |trace| >= 2 - margin.
+    z(E, t) is the fixed point of the monodromy based at t.  Both are read
+    off one integration of the period per energy block.  Returns a complex
+    (K, len(times)) array, nan on the energies with |trace| >= 2 - margin.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        M = system.monodromy(E)
+        pref, M = system._grid_and_monodromy(np.asarray(E), times)
         u = np.where(np.abs(sl2.tr2(M)) < 2.0 - margin, sl2.fixed_points2(M),
                      np.nan)
-        pref = system.prefix_grid(E, times)
         return sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
 
 

@@ -216,11 +216,12 @@ def mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _mul_planes(A, B, out):
-    """out = A . B over (2, 2, ...) planes by mul2's formulas; no overlap."""
+    """out = A . B over (2, 2, ...) planes by mul2's formulas; no overlap.
+    Each output row is one broadcast product per term, so a round costs six
+    ufunc calls."""
     for i in range(2):
-        for j in range(2):
-            np.multiply(A[i, 0], B[0, j], out=out[i, j])
-            out[i, j] += A[i, 1] * B[1, j]
+        np.multiply(A[i, 0, None], B[0], out=out[i])
+        out[i] += A[i, 1, None] * B[1]
     return out
 
 

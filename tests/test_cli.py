@@ -300,17 +300,24 @@ def test_cache_reuses_and_preserves_bytes(tmp_path, monkeypatch):
 def test_discrete_sweep_monodromy_calls(tmp_path, monkeypatch, quantity):
     # past the band scan, a 64-energy grid costs one monodromy call for
     # all its band-interior energies; the per-energy loops made 128
-    # (density, two rotation angles per energy) and up to 64 (ids)
+    # (density, two rotation angles per energy) and up to 64 (ids).  The
+    # density's invariant section reads its monodromy off the prefix table
+    # (_grid_and_monodromy), so that call counts as one too.
     monkeypatch.delenv("COCYCLE_LAB_CACHE", raising=False)
-    monodromy, rows = cyc.DiscreteCocycle.monodromy, cli._quantity_rows
+    rows = cli._quantity_rows
     calls = []
 
-    def counted(self, *args, **kw):
-        calls.append(1)
-        return monodromy(self, *args, **kw)
+    def counting(name):
+        fn = getattr(cyc.DiscreteCocycle, name)
+
+        def counted(self, *args, **kw):
+            calls.append(name)
+            return fn(self, *args, **kw)
+        return counted
 
     def counted_rows(*args):
-        monkeypatch.setattr(cyc.DiscreteCocycle, "monodromy", counted)
+        for name in ("monodromy", "_grid_and_monodromy"):
+            monkeypatch.setattr(cyc.DiscreteCocycle, name, counting(name))
         return rows(*args)
 
     monkeypatch.setattr(cli, "_quantity_rows", counted_rows)
@@ -371,6 +378,20 @@ def test_import_leaves_out_scipy_integrate():
                        "print('scipy.integrate' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_discrete_verbs_leave_out_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 10 ms of a process's start-up
+    runs = [["bands", "--potential", desc("cos3.json"),
+             "--out", str(tmp_path / "bands.json")],
+            ["sweep", "--potential", desc("cos3.json"), "--quantity", "growth",
+             "--count", "8", "--samples", "64", "--out", str(tmp_path / "g.csv")]]
+    done = _run_python("import sys\n"
+                       "import cocycle_lab.cli as cli\n"
+                       f"print(*[cli.dispatch(argv) for argv in {runs!r}],"
+                       " 'numpy.ma' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "False"]
 
 
 def test_benchmark_tracer_installs_on_the_cli():
