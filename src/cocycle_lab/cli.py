@@ -159,40 +159,24 @@ def _write_csv(path: str, command: str, params: dict, header, rows) -> None:
 QUANTITIES = ("trace", "ids", "lyapunov", "density", "growth")
 
 
-def _bands_for(system, e_min: float, e_max: float, grid: int, tol: float):
-    if system.kind == "discrete":
-        return cyc.discrete_band_spectrum(system, grid=grid, tangency_tol=tol)
-    return cyc.band_spectrum(system, e_min, e_max, grid=grid, tangency_tol=tol)
-
-
-def _quantity_rows(system, bandset, quantity, energies, samples):
-    """(energy, value) rows over the energy grid.  Density and growth are
-    defined strictly inside bands only, so other energies get no row.
-    Every quantity but growth is one call on the whole grid."""
+def _quantity_rows(system, quantity, energies, samples):
+    """(energy, value) rows over the energy grid, with no band scan.
+    Density and growth are defined strictly inside bands only, so other
+    energies get no row: density's is nan there, and growth takes the
+    energies with |trace| < 2 - sl2.ELLIPTIC_MARGIN."""
     if quantity == "trace":
         values = system.trace(energies)
     elif quantity == "ids":
-        values = cyc.ids(system, energies, bandset)
+        values = cyc.ids(system, energies)
     elif quantity == "lyapunov":
         values = cyc.lyapunov(system, energies)
+    elif quantity == "density":
+        values = cyc.fixed_point_density(system, energies)
+        energies, values = (v[np.isfinite(values)] for v in (energies, values))
     else:
-        lo = np.array([b.lo for b in bandset.bands])
-        hi = np.array([b.hi for b in bandset.bands])
-        inside = ((lo < energies[:, None]) & (energies[:, None] < hi)).any(axis=1)
-        energies = energies[inside]
-        if not energies.size:
-            values = []
-        elif quantity == "density":
-            values = cyc.fixed_point_density(system, energies)
-            # an energy on a band edge to rounding (where the scanned edge
-            # and the trace disagree) has a divergent density: no row
-            energies, values = (v[np.isfinite(values)] for v in (energies, values))
-        else:
-            # as for density, an energy on a band edge to rounding: no row
-            energies = energies[np.abs(system.trace(energies))
-                                < 2.0 - sl2.ELLIPTIC_MARGIN]
-            values = [cyc.growth_value(system, float(e), samples=samples).value
-                      for e in energies]
+        energies = energies[np.abs(system.trace(energies))
+                            < 2.0 - sl2.ELLIPTIC_MARGIN]
+        values = cyc.growth_values(system, energies, samples=samples)[0]
     return [(float(e), float(v)) for e, v in zip(energies, values)]
 
 
@@ -211,7 +195,12 @@ def _sweep_cache_key(params: dict) -> str:
 def _cmd_bands(args) -> None:
     pot = load_descriptor(args.potential)
     system = _spectral_system(pot)
-    bands = _bands_for(system, args.emin, args.emax, args.grid, args.tol)
+    if system.kind == "discrete":
+        bands = cyc.discrete_band_spectrum(system, grid=args.grid,
+                                           tangency_tol=args.tol)
+    else:
+        bands = cyc.band_spectrum(system, args.emin, args.emax, grid=args.grid,
+                                  tangency_tol=args.tol)
     params = {
         "potential_sha1": _descriptor_sha1(pot),
         "emin": args.emin,
@@ -236,8 +225,6 @@ def _cmd_quantity(args) -> None:
         "emin": args.emin,
         "emax": args.emax,
         "count": args.count,
-        "grid": args.grid,
-        "tol": args.tol,
         "samples": args.samples,
     }
     if args.count < 0:
@@ -249,9 +236,7 @@ def _cmd_quantity(args) -> None:
     if cached is not None:
         rows = [tuple(r) for r in cached]
     else:
-        bandset = _bands_for(system, args.emin, args.emax, args.grid, args.tol)
-        rows = _quantity_rows(system, bandset, quantity, energies,
-                              args.samples)
+        rows = _quantity_rows(system, quantity, energies, args.samples)
         memo.put(key, [list(r) for r in rows])
     _write_csv(args.out, args.command, params, ("E", "value"), rows)
 
@@ -525,16 +510,9 @@ def _add_jobs(p):
                    help="accepted for compatibility; has no effect")
 
 
-def _add_scan(p, emin=-4.0, emax=12.0):
-    p.add_argument("--emin", type=float, default=emin)
-    p.add_argument("--emax", type=float, default=emax)
-    p.add_argument("--grid", type=int, default=4096,
-                   help="trace-scan resolution for band detection; the "
-                        "oscillation count finds what it misses")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="a gap the scan misses is a touching point unless "
-                        "|trace| exceeds 2 by more than this at its Dirichlet "
-                        "eigenvalue")
+def _add_range(p):
+    p.add_argument("--emin", type=float, default=-4.0)
+    p.add_argument("--emax", type=float, default=12.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,7 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="band spectrum as CSV intervals")
     p.add_argument("--potential", required=True)
-    _add_scan(p)
+    _add_range(p)
+    p.add_argument("--grid", type=int, default=4096,
+                   help="trace-scan resolution for band detection; the "
+                        "oscillation count finds what it misses")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="a gap the scan misses is a touching point unless "
+                        "|trace| exceeds 2 by more than this at its Dirichlet "
+                        "eigenvalue")
     _add_out(p)
     p.set_defaults(run=_cmd_bands)
 
@@ -561,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--potential", required=True)
-        _add_scan(p)
+        _add_range(p)
         p.add_argument("--count", type=int, default=512,
                        help="number of energy samples")
         p.add_argument("--samples", type=int, default=2048,
@@ -573,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="per-energy quantity sweep (cacheable)")
     p.add_argument("--potential", required=True)
     p.add_argument("--quantity", required=True, choices=QUANTITIES)
-    _add_scan(p)
+    _add_range(p)
     p.add_argument("--count", type=int, default=512)
     p.add_argument("--samples", type=int, default=2048)
     _add_jobs(p)

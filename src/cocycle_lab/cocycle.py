@@ -13,6 +13,14 @@ below E, one in each closed gap (the oscillation theorem for Hill's
 equation), so every band and gap band_spectrum reads off its trace scan is
 checked against the count, and the scan is bisected where they disagree.
 
+The count and the trace sign give every real energy one integer, its level
+(sturm_level): 2k + 1 inside band k (counted from 0) and 2k in the gap above
+k bands.  It is the package's one answer to "which band is E in": ids is
+(k + s) / period with s from the monodromy rotation angle inside band k, and
+j / period at the edges and gaps, with the integer j read off the count and
+the trace sign; the energy sweeps pick band interiors by the trace alone.  No
+scanned band edge enters either.
+
 Density of states, growth, the completeness integral (and labverify's
 crooked metric) are read off one object for both kinds, the invariant section
 (section_points): the upper-half-plane fixed point of the monodromy,
@@ -85,7 +93,7 @@ _SINC_COEFS = tuple((-1) ** k / math.factorial(2 * k + 1)
 ENGINE = (f"gauss-magnus4 step-doubling tol={_TOL!r} "
           f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS} "
           f"cos-sinc=taylor{_SERIES_DEGREE}+libm "
-          "density=invariant-section bands=sturm-count")
+          "density=invariant-section bands=sturm-count ids=sturm-level")
 # energies, and energy-steps of the longest piece, per block; see _batch
 _CHUNK = 256
 _BLOCK_STEPS = 3 * 2 ** 14
@@ -690,6 +698,32 @@ def rotation_count(system, E):
     return system._chunked(E, run)
 
 
+def _minus_two_below(system, c):
+    """1 where band c starts at trace -2, 0 where at +2: the trace at the
+    lower edge of band k has sign (-1)^k (continuum) or (-1)^(n - k)
+    (period n)."""
+    parity = system.sites if system.kind == "discrete" else 0
+    return (c + parity) % 2
+
+
+def _edge_index(system, c, tr):
+    """j, the number of bands below an energy in a gap, or below the nearer
+    edge of the band it is in, from its count c and trace tr.
+
+    The trace sign flips from band to band, so it tells which of j - 1 and
+    j the count is in a gap, and which edge is nearer inside a band (where
+    the count is k): a Dirichlet eigenvalue on an edge cannot shift j."""
+    return c + (_minus_two_below(system, c) + (tr < 0.0)) % 2
+
+
+def sturm_level(system, E, tr):
+    """The level of each real energy of a 1-d batch with monodromy traces
+    tr: 2k + 1 inside band k (|tr| <= 2, count k) and 2k in the gap above
+    k bands, certified by rotation_count."""
+    c = rotation_count(system, E)
+    return np.where(np.abs(tr) <= 2.0, 2 * c + 1, 2 * _edge_index(system, c, tr))
+
+
 # edges and Dirichlet eigenvalues are refined to the last few ulps; a gap
 # between inside energies is first bisected to _GAP_WIDTH max(1, |E|)
 _EDGE_TOL = dict(xtol=1e-14, rtol=8.9e-16)
@@ -701,11 +735,9 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
     """Closed bands of [e_min, e_max], certified by rotation_count.
 
     Bands are maximal intervals with |trace| <= 2, split where the trace
-    touches +-2, so touching bands and closed gaps stay visible.  An energy's
-    level is 2k + 1 in band k and 2k in the gap above k bands, where the
-    trace sign, (-1)^k (continuum) or (-1)^(n - k) (period n), tells whether
-    the count is k - 1 or k.  Levels are read at the ends of the scan of
-    grid + 1 energies and of its runs of inside samples; where a level rises
+    touches +-2, so touching bands and closed gaps stay visible.  Levels
+    (sturm_level) are read at the ends of the scan of grid + 1 energies
+    and of its runs of inside samples; where a level rises
     more than the samples show, a band or a gap hides, and such intervals
     are bisected in lockstep.  A gap between inside energies closer than
     _GAP_WIDTH is placed at its Dirichlet eigenvalue, a root of M[1, 0]: a
@@ -730,12 +762,6 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
     def tr_of(Es):
         return np.atleast_1d(system.trace(spend(np.atleast_1d(Es))))
 
-    def level(Es, trs):
-        c = rotation_count(system, spend(Es))
-        parity = system.sites if system.kind == "discrete" else 0
-        return np.where(np.abs(trs) <= 2.0, 2 * c + 1,
-                        2 * (c + (c + parity + (trs < 0.0)) % 2))
-
     def check(bad, lo, hi):
         for k in np.flatnonzero(bad)[:1]:
             raise ResolutionError(
@@ -748,7 +774,7 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
     runs = np.flatnonzero(np.diff(inside))
     ref = _distinct(np.r_[0, grid, runs + ~inside[runs]])
     L = np.full(E.shape, -1)
-    L[ref] = level(E[ref], tr[ref])
+    L[ref] = sturm_level(system, spend(E[ref]), tr[ref])
     cut = np.zeros(E.shape, dtype=bool)  # touching points, trace set to +-2
     while True:
         inside = (np.abs(tr) <= 2.0) & ~cut
@@ -777,7 +803,8 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
         check(np.abs(tr_mu) < 2.0 - tangency_tol, E[a], E[b])
         touch = np.abs(tr_mu) <= 2.0 + tangency_tol
         tr_mid = tr_of(mid) if mid.size else mid
-        new_L = level(np.r_[E[pick], mid], np.r_[tr[pick], tr_mid])
+        new_L = sturm_level(system, spend(np.r_[E[pick], mid]),
+                            np.r_[tr[pick], tr_mid])
         L[pick] = new_L[:pick.size]
         E = np.r_[E, mid, mu]
         tr = np.r_[tr, tr_mid, np.where(touch, np.copysign(2.0, tr_mu), tr_mu)]
@@ -816,14 +843,6 @@ def discrete_band_spectrum(system: DiscreteCocycle, **kw) -> BandSet:
 # ---------------------------------------------------------------------------
 
 
-def rotation_angle_at(system, E):
-    """Monodromy rotation angle in turns, for energies inside bands."""
-    Earr, scalar = _as_batch(E)
-    M = system.monodromy(Earr)
-    th = sl2.rotation_angles2(M)
-    return float(th[0]) if scalar else th
-
-
 def section_points(system, E, times, margin: float = 0.0):
     """Invariant section z(E, t) = A(E, 0, t) . u(E) over a 1-d energy batch.
 
@@ -840,46 +859,31 @@ def section_points(system, E, times, margin: float = 0.0):
         return sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
 
 
-def ids(system, E, bandset: BandSet):
+def ids(system, E, bandset=None):
     """Integrated density of states per unit length (continuum) or site.
 
-    Inside band m the value interpolates between m/period and
-    (m+1)/period through the monodromy rotation angle; on gaps it is
-    locally constant.  Works on scalars and arrays; one ``monodromy`` call
-    serves every band-interior energy.
+    (c + s) / period inside band c (c = rotation_count), with s in [0, 1]
+    from the monodromy rotation angle, oriented by the trace sign at the
+    band's lower edge; j / period (_edge_index) in gaps and within
+    sl2.ELLIPTIC_MARGIN of |trace| = 2, where the angle is not resolved.
+    Works on scalars and arrays.  ``bandset`` is accepted and not read.
     """
     Earr, scalar = _as_batch(E)
     Earr = Earr.astype(float)
-    P = bandset.period
-    lo, hi, lo_sign = (np.array([getattr(b, f) for b in bandset.bands])
-                       for f in ("lo", "hi", "lo_sign"))
-    # m bands lie wholly below E; E is in band m once it reaches its lo
-    m = np.searchsorted(hi, Earr, side="left")
-    lo_m, hi_m = np.append(lo, np.inf)[m], np.append(hi, np.inf)[m]
-    inband = Earr >= lo_m
-    if np.any(lo_sign[m[inband]] == 0):
-        raise ValidationError(
-            "band was clipped by the scan range; rescan from below the spectrum"
-        )
-    # gaps and band edges are exact; interior values use the rotation angle
-    above_lo = inband & (Earr > lo_m)
-    out = (m + (above_lo & (Earr >= hi_m))) / P
-    inner = np.flatnonzero(above_lo & (Earr < hi_m))
+    M = system.monodromy(Earr)
+    tr = sl2.tr2(M)
+    c = rotation_count(system, Earr)
+    out = _edge_index(system, c, tr) / system.period
+    inner = np.flatnonzero(np.abs(tr) < 2.0 - sl2.ELLIPTIC_MARGIN)
     if inner.size:
-        e, mi = Earr[inner], m[inner]
-        M = system.monodromy(e)
-        with np.errstate(invalid="ignore"):
-            theta = sl2.rotation_angles2(M)
-        rising = lo_sign[mi] >= 0
+        k = c[inner]
+        theta = sl2.rotation_angles2(M[inner])
+        rising = _minus_two_below(system, k) == 0
         if system.kind == "continuum":
             s = np.where(rising, 2.0 * theta, 2.0 * theta - 1.0)
         else:
             s = np.where(rising, 2.0 * (1.0 - theta), 1.0 - 2.0 * theta)
-        s = np.clip(s, 0.0, 1.0)
-        # too close to an edge for the angle: take the nearer edge's value
-        near = np.abs(sl2.tr2(M)) >= 2.0 - sl2.ELLIPTIC_MARGIN
-        s = np.where(near, e - lo[mi] > hi[mi] - e, s)
-        out[inner] = (mi + s) / P
+        out[inner] = (k + np.clip(s, 0.0, 1.0)) / system.period
     return float(out[0]) if scalar else out
 
 
@@ -954,34 +958,48 @@ class GrowthReport:
     arg_sup: float
 
 
-def growth_value(system, E: float, t0: float = 0.0, samples: int = 2048) -> GrowthReport:
-    """Smallest sup-norm growth over all unit initial data, elliptic case.
-
-    Equals sup_t exp((d(u(t), i) - d(u(t0), i)) / 2) where u(t) is the
-    invariant-section point and d is the hyperbolic distance: starting
-    from the most contracted direction at t0, recurrent rotation phases
-    push the orbit up to the worst frame discrepancy.
-    """
+def growth_values(system, E, t0: float = 0.0, samples: int = 2048):
+    """The GrowthReport fields over a 1-d energy batch, as arrays
+    (value, sup_dist, base_dist, arg_sup); value is nan at energies with
+    |trace| >= 2 - sl2.ELLIPTIC_MARGIN.  Energies go through in blocks of
+    at most _CHUNK, which bounds the (energies, samples) section."""
     if system.kind == "continuum":
         grid = np.linspace(0.0, system.period, samples, endpoint=False)
     else:
         grid = np.arange(system.sites)
     # the base point t0 need not be on the grid: it rides along as one more
     # time
-    z = section_points(system, np.array([float(E)]), np.append(grid, t0),
-                       margin=sl2.ELLIPTIC_MARGIN)[0]
-    if np.isnan(z[0]):
+    times = np.append(grid, t0)
+    E = np.asarray(E, dtype=float)
+    out = np.empty((4, E.shape[0]))
+    for i in range(0, E.shape[0], _CHUNK):
+        z = section_points(system, E[i:i + _CHUNK], times,
+                           margin=sl2.ELLIPTIC_MARGIN)
+        with np.errstate(invalid="ignore"):
+            dists = sl2.hyp_dist2(z, 1j)
+        k = np.argmax(dists[:, :-1], axis=1)
+        blk = out[:, i:i + _CHUNK]
+        blk[1] = dists[np.arange(k.shape[0]), k]
+        blk[2] = dists[:, -1]
+        blk[3] = grid[k]
+    # math.exp, not np.exp: the two differ in the last bit on some energies
+    out[0] = [math.exp((sup - base) / 2.0) for sup, base in zip(out[1], out[2])]
+    return tuple(out)
+
+
+def growth_value(system, E: float, t0: float = 0.0, samples: int = 2048) -> GrowthReport:
+    """Smallest sup-norm growth over all unit initial data, elliptic case.
+
+    Equals sup_t exp((d(u(t), i) - d(u(t0), i)) / 2) where u(t) is the
+    invariant-section point and d is the hyperbolic distance: starting
+    from the most contracted direction at t0, recurrent rotation phases
+    push the orbit up to the worst frame discrepancy.  The one-energy view
+    of growth_values.
+    """
+    fields = growth_values(system, np.array([float(E)]), t0, samples)
+    if np.isnan(fields[0][0]):
         raise NotEllipticError(f"energy {E!r} is not elliptic")
-    dists = sl2.hyp_dist2(z[:-1], np.full(grid.shape, 1j))
-    d0 = float(sl2.hyp_dist2(z[-1], 1j))
-    k = int(np.argmax(dists))
-    sup_d = float(dists[k])
-    return GrowthReport(
-        value=math.exp((sup_d - d0) / 2.0),
-        sup_dist=sup_d,
-        base_dist=d0,
-        arg_sup=float(grid[k]),
-    )
+    return GrowthReport(*(float(f[0]) for f in fields))
 
 
 def resonance_gap(theta: float, qmax: int = 50) -> float:
@@ -1198,27 +1216,3 @@ def uniformness_check(system, bandset: BandSet, level: float, *,
         total_deficit=float(sum(deficits)),
         total_mass=total_mass,
     )
-
-
-# ---------------------------------------------------------------------------
-# rotation monotonicity
-# ---------------------------------------------------------------------------
-
-
-def check_rotation_monotone(system, band: Band, samples: int = 64,
-                            tol: float = 1e-10):
-    """Verify the rotation angle is monotone across a band interior.
-
-    Continuum angles increase with energy; discrete angles decrease.
-    Returns (ok, worst_violation).
-    """
-    pad = 1e-6 * max(band.width, 1e-6)
-    Es = np.linspace(band.lo + pad, band.hi - pad, samples)
-    th = rotation_angle_at(system, Es)
-    th = np.unwrap(th, period=1.0)
-    diffs = np.diff(th)
-    if system.kind == "continuum":
-        worst = float(np.min(diffs))
-        return worst > -tol, worst
-    worst = float(np.max(diffs))
-    return worst < tol, worst

@@ -280,15 +280,13 @@ def run_lemma22(
     system = cyc.ContinuumCocycle(pot)
     period0 = system.period
     energies = M * (np.arange(energy_grid) + 0.5) / energy_grid
-    A = system.monodromy(energies)
+    frac = (np.arange(frac_samples) + 0.5) / frac_samples
+    prefix_frac, A = system._grid_and_monodromy(energies, frac * period0)
     elliptic = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
     if not np.any(elliptic):
         raise PipelineCollapseError(0, "no elliptic energies on the grid")
     A = np.where(elliptic[:, None, None], A, _SAFE_ROT)
     u = np.where(elliptic, sl2.fixed_points2(A), 1j)
-
-    frac = (np.arange(frac_samples) + 0.5) / frac_samples
-    prefix_frac = system.prefix_grid(energies, frac * period0)
 
     base_avg = np.zeros(energy_grid)
     for f in range(frac_samples):
@@ -892,10 +890,7 @@ def good_nice_metrics(
         sup_l = float(np.max(lyap))
     else:
         sup_l = 0.0
-    # evaluate just below the cap so a scan-clipped top band reads its
-    # interior rotation value rather than the full-band edge value
-    m_eval = M - 1e-9 * max(1.0, abs(M))
-    ids_at_m = cyc.ids(system, m_eval, bands) if energies.size else 0.0
+    ids_at_m = cyc.ids(system, M) if energies.size else 0.0
     integral = 0.0
     for band in bands.bands:
         if band.lo >= M:
@@ -936,19 +931,18 @@ def growth_minimax(
     the sup reduces to a lookup of max_s quadratic forms on a fine circle
     grid.  Compared against the closed-form growth functional.
     """
-    e_arr = np.asarray([float(E)])
-    mono = system.monodromy(e_arr)
+    if system.kind == "continuum":
+        times = system.period * np.arange(t_samples) / t_samples
+    else:
+        times = np.arange(system.sites)
+    pref, mono = system._grid_and_monodromy(np.asarray([float(E)]), times)
+    pref = pref[0]
     if abs(float(sl2.tr2(mono)[0])) >= 2.0 - 1e-9:
         raise DomainError("energy not elliptic; minimax growth undefined")
     u0 = sl2.fixed_points2(mono)[0]
     frame = sl2.frames2(np.asarray([u0]))[0]
     frame_inv = np.linalg.inv(frame)
     theta = float(sl2.rotation_angles2(mono)[0])
-    if system.kind == "continuum":
-        t_grid = system.period * np.arange(t_samples) / t_samples
-        pref = system.prefix_grid(e_arr, t_grid)[0]
-    else:
-        pref = system.prefix_grid(e_arr, np.arange(system.sites))[0]
     lead = sl2.mul2(pref, np.broadcast_to(frame_inv, pref.shape))
     gram = np.einsum("sij,sik->sjk", lead, lead)
     psi = 2.0 * np.pi * np.arange(psi_grid) / psi_grid

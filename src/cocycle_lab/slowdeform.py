@@ -318,10 +318,7 @@ def tilde_theta_curve(system, e_grid: np.ndarray) -> np.ndarray:
     winding across many bands visible, which is what the folded phase
     statistics below consume.
     """
-    from .cocycle import rotation_angle_at
-
-    e_grid = np.asarray(e_grid, dtype=float)
-    th = np.asarray(rotation_angle_at(system, e_grid))
+    th = sl2.rotation_angles2(system.monodromy(np.asarray(e_grid, dtype=float)))
     if not np.all(np.isfinite(th)):
         raise DomainError("energy grid leaves the elliptic region")
     return np.unwrap(th, period=1.0)

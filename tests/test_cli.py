@@ -298,11 +298,11 @@ def test_cache_reuses_and_preserves_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("quantity", ["density", "ids"])
 def test_discrete_sweep_monodromy_calls(tmp_path, monkeypatch, quantity):
-    # past the band scan, a 64-energy grid costs one monodromy call for
-    # all its band-interior energies; the per-energy loops made 128
-    # (density, two rotation angles per energy) and up to 64 (ids).  The
-    # density's invariant section reads its monodromy off the prefix table
-    # (_grid_and_monodromy), so that call counts as one too.
+    # a 64-energy grid costs one monodromy call for all its energies; the
+    # per-energy loops made 128 (density, two rotation angles per energy)
+    # and up to 64 (ids).  The density's invariant section reads its
+    # monodromy off the prefix table (_grid_and_monodromy), so that call
+    # counts as one too.
     monkeypatch.delenv("COCYCLE_LAB_CACHE", raising=False)
     rows = cli._quantity_rows
     calls = []
@@ -543,9 +543,9 @@ def test_growth_csv_skips_gap_energies(tmp_path):
 
 @pytest.mark.parametrize("verb", [["sweep", "--quantity", "growth"], ["growth"]])
 def test_growth_sweep_skips_band_edge_energy(tmp_path, verb):
-    # E = 0 lies inside a band of the alternating potential by the scanned
-    # edges, but its trace is -2 exactly: it gets no row, where it used to
-    # fail the whole sweep with exit 1
+    # E = 0 is where two bands of the alternating potential touch, and its
+    # trace is -2 exactly: it gets no row, where it used to fail the whole
+    # sweep with exit 1
     out = tmp_path / "g.csv"
     assert dispatch(verb + ["--potential", desc("alternating.json"),
                             "--count", "301", "--samples", "64",
@@ -561,18 +561,63 @@ def test_growth_sweep_skips_band_edge_energy(tmp_path, verb):
 
 
 def test_memo_hit_skips_band_scan(tmp_path, monkeypatch):
+    # a memo hit computes no rows at all
     argv = ["sweep", "--potential", desc("cos2.json"), "--quantity", "ids",
             "--emin", "-2.5", "--emax", "2.5", "--count", "30"]
     monkeypatch.setenv("COCYCLE_LAB_CACHE", str(tmp_path / "cache"))
     miss, hit = tmp_path / "miss.csv", tmp_path / "hit.csv"
     assert dispatch(argv + ["--out", str(miss)]) == 0
 
-    def no_scan(*args):
-        raise AssertionError("band scan on a memo hit")
+    def no_rows(*args):
+        raise AssertionError("rows computed on a memo hit")
 
-    monkeypatch.setattr(cli, "_bands_for", no_scan)
+    monkeypatch.setattr(cli, "_quantity_rows", no_rows)
     assert dispatch(argv + ["--out", str(hit)]) == 0
     assert hit.read_bytes() == miss.read_bytes()
+
+
+@pytest.mark.parametrize("quantity", cli.QUANTITIES)
+@pytest.mark.parametrize("name", ["v0.json", "cos3.json"])
+def test_sweeps_make_no_band_scan(tmp_path, monkeypatch, quantity, name):
+    def no_scan(*args, **kw):
+        raise AssertionError("band scan in a sweep")
+
+    monkeypatch.delenv("COCYCLE_LAB_CACHE", raising=False)
+    monkeypatch.setattr(cyc, "band_spectrum", no_scan)
+    monkeypatch.setattr(cyc, "discrete_band_spectrum", no_scan)
+    out = tmp_path / "s.csv"
+    assert dispatch(["sweep", "--potential", desc(name), "--quantity", quantity,
+                     "--count", "40", "--samples", "64", "--out", str(out)]) == 0
+    assert len(read(str(out)).splitlines()) > 2
+
+
+def _v0_rows(tmp_path, verb):
+    out = tmp_path / "v0.csv"
+    assert dispatch(verb + ["--potential", desc("v0.json"), "--samples", "64",
+                            "--out", str(out)]) == 0
+    return [[float(x) for x in ln.split(",")]
+            for ln in read(str(out)).splitlines()[2:]]
+
+
+def test_ids_sweep_reads_the_band_at_emax(tmp_path):
+    # E = 12, the default top of the range, lies inside v0's band 2; the
+    # scanned band ended there, and the row read 1.5, the band's top value
+    system = cli._spectral_system(load_descriptor(desc("v0.json")))
+    assert abs(system.trace(12.0)) < 2.0
+    e, v = _v0_rows(tmp_path, ["ids"])[-1]
+    assert e == 12.0 and 1.0 < v < 1.5
+    assert v == cyc.ids(system, 12.0)
+
+
+@pytest.mark.parametrize("verb", [["density"], ["sweep", "--quantity", "growth"]])
+def test_in_band_emax_gets_a_row(tmp_path, verb):
+    # the scanned band ended at emax, and E < hi left the top energy out
+    system = cli._spectral_system(load_descriptor(desc("v0.json")))
+    e, v = _v0_rows(tmp_path, verb)[-1]
+    assert e == 12.0
+    want = (cyc.density(system, 12.0) if verb == ["density"]
+            else cyc.growth_value(system, 12.0, samples=64).value)
+    assert v == want
 
 
 def test_density_rows_match_library_values(tmp_path):

@@ -29,15 +29,14 @@ from cocycle_lab.cocycle import (
     band_norm_integral,
     band_spectrum,
     bloch_pair,
-    check_rotation_monotone,
     density,
     discrete_band_spectrum,
     free_block,
     growth_value,
+    growth_values,
     ids,
     lyapunov,
     resonance_gap,
-    rotation_angle_at,
     spectral_parseval,
     uniformness_check,
 )
@@ -960,6 +959,64 @@ class TestIdsAndDensity:
         np.testing.assert_array_equal(ids(sysm, E, bs),
                                       [ids(sysm, e, bs) for e in E])
 
+    @pytest.mark.parametrize("values", [
+        lambda: load_descriptor(os.path.join(DESCRIPTORS, "cos3.json")).slice(0.0).values,
+        lambda: load_descriptor(os.path.join(DESCRIPTORS, "alternating.json")).slice(0.0).values,
+        lambda: (0.3, -0.4, 1.1, 0.2, -0.9),
+    ], ids=["cos3", "alternating", "five-site"])
+    def test_discrete_ids_at_bloch_eigenvalues(self, values):
+        # u(j + n) = e^{i theta} u(j) turns H into an n x n Hermitian matrix
+        # whose k-th eigenvalue runs across band k as theta goes from 0 to
+        # pi; there N = (k + theta / pi) / n, or (k + 1 - theta / pi) / n
+        # where that eigenvalue falls with theta
+        v = np.asarray(values(), dtype=float)
+        n = v.size
+        sysm = DiscreteCocycle(DiscretePotential(tuple(v)))
+
+        def bloch_eigenvalues(theta):
+            H = (np.diag(v) + np.eye(n, k=1) + np.eye(n, k=-1)).astype(complex)
+            H[n - 1, 0] += np.exp(1j * theta)
+            H[0, n - 1] += np.exp(-1j * theta)
+            return np.linalg.eigvalsh(H)
+
+        rising = bloch_eigenvalues(math.pi) > bloch_eigenvalues(0.0)
+        k = np.arange(n)
+        for theta in (0.3, 1.1, 2.0, 2.8):
+            want = np.where(rising, k + theta / math.pi, k + 1 - theta / math.pi) / n
+            np.testing.assert_allclose(ids(sysm, bloch_eigenvalues(theta)), want,
+                                       rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("pot", [
+        lambda: load_descriptor(os.path.join(DESCRIPTORS, "v0.json")),
+        cosine_well_potential,
+        lambda: deform.pad(smooth_bump_potential(), deform.PaddingSpec(0.05, 4, 2)),
+    ], ids=["v0", "well", "padded-bump"])
+    def test_continuum_ids_by_bloch_winding(self, pot):
+        # the Bloch solution u whose argument turns forwards, Im(conj(u) u')
+        # > 0, turns by pi N period over one period (Johnson & Moser)
+        sysm = ContinuumCocycle(pot())
+        E = np.linspace(*sysm.scan_range(12.0), 401)
+        E = E[np.abs(sysm.trace(E)) < 1.9][::8]
+        t = np.linspace(0.0, sysm.period, 8193)
+        want = []
+        for e, pref in zip(E, sysm.prefix_grid(E, t)):
+            _, vecs = np.linalg.eig(sysm.monodromy(e))
+            x = vecs[:, np.argmax((np.conj(vecs[1]) * vecs[0]).imag)]
+            turn = np.unwrap(np.angle(pref[:, 1, :] @ x))
+            want.append((turn[-1] - turn[0]) / (math.pi * sysm.period))
+        assert len(want) >= 10
+        np.testing.assert_allclose(ids(sysm, E), want, rtol=0, atol=1e-10)
+
+    def test_ids_at_refined_edges_is_exact(self):
+        # j / period at every refined edge, whichever count the edge reads
+        sysm = workload_bump()
+        bs = band_spectrum(sysm, -0.5, 20.0, grid=1024)
+        edges = ([(b.lo, k) for k, b in enumerate(bs.bands) if b.lo_sign]
+                 + [(b.hi, k + 1) for k, b in enumerate(bs.bands) if b.hi_sign])
+        E, j = (np.array(v) for v in zip(*edges))
+        assert E.size >= 10
+        np.testing.assert_array_equal(ids(sysm, E), j / sysm.period)
+
 
 class TestInvariantSection:
     @pytest.mark.parametrize("kind", ["continuum", "discrete"])
@@ -1022,17 +1079,23 @@ class TestLyapunov:
 
 
 class TestRotationMonotone:
+    """ids, the rotation number over pi, strictly increases across a band
+    interior, whichever way the monodromy angle turns there."""
+
+    @staticmethod
+    def increments(sysm, band):
+        pad = 1e-6 * band.width
+        return np.diff(ids(sysm, np.linspace(band.lo + pad, band.hi - pad, 64)))
+
     def test_continuum_increasing(self):
         sysm = ContinuumCocycle(cosine_well_potential())
         bs = band_spectrum(sysm, *sysm.scan_range(4.0), grid=1024)
-        ok, worst = check_rotation_monotone(sysm, bs.bands[1])
-        assert ok, worst
+        assert np.all(self.increments(sysm, bs.bands[1]) > 0.0)
 
-    def test_discrete_decreasing(self):
+    def test_discrete_increasing(self):
         sysm = alt_cocycle()
         bs = discrete_band_spectrum(sysm)
-        ok, worst = check_rotation_monotone(sysm, bs.bands[0])
-        assert ok, worst
+        assert np.all(self.increments(sysm, bs.bands[0]) > 0.0)
 
 
 class TestGrowth:
@@ -1044,7 +1107,7 @@ class TestGrowth:
     def test_growth_against_brute_minimax(self):
         sysm = alt_cocycle(0.5)
         E = -0.8
-        theta = rotation_angle_at(sysm, E)
+        theta = float(sl2.rotation_angles2(sysm.monodromy(E)))
         assert resonance_gap(theta, 50) > 1e-4
         rep = growth_value(sysm, E)
         # brute force: min over directions of sup over a long prefix orbit
@@ -1056,6 +1119,25 @@ class TestGrowth:
         norms = np.sqrt(imgs[:, 0, :] ** 2 + imgs[:, 1, :] ** 2)
         brute = float(np.min(np.max(norms, axis=0)))
         assert rep.value == pytest.approx(brute, rel=0.02)
+
+    @pytest.mark.parametrize("sysm", [
+        lambda: ContinuumCocycle(load_descriptor(os.path.join(DESCRIPTORS, "v0.json"))),
+        lambda: ContinuumCocycle(cosine_well_potential()),
+        lambda: DiscreteCocycle(load_descriptor(
+            os.path.join(DESCRIPTORS, "cos3.json")).slice(0.0)),
+    ], ids=["v0", "well", "cos3"])
+    def test_growth_batch_equals_single_energies(self, sysm):
+        # more than one block of energies, gap energies among them
+        sysm = sysm()
+        E = np.linspace(-2.5, 6.0, 300)
+        got = growth_values(sysm, E, t0=0.3, samples=64)
+        inside = np.abs(sysm.trace(E)) < 2.0 - sl2.ELLIPTIC_MARGIN
+        assert 0 < inside.sum() < E.size
+        assert np.all(np.isnan(got[0][~inside]))
+        want = [growth_value(sysm, e, t0=0.3, samples=64) for e in E[inside]]
+        for field, values in zip(("value", "sup_dist", "base_dist", "arg_sup"), got):
+            np.testing.assert_array_equal(values[inside],
+                                          [getattr(r, field) for r in want])
 
     def test_growth_not_elliptic_raises(self):
         sysm = alt_cocycle()
