@@ -650,6 +650,15 @@ def _quarter_turn_steps(h, a, vbar, E):
     return _magnus_steps(h / m, np.repeat(a / m, m), np.repeat(vbar, m), E)
 
 
+def _dirichlet_count(system, table):
+    """rotation_count of a discrete system read off its prefix table."""
+    u = table[:-1, :, 0, 0].copy()
+    if system.sites > 1:
+        # an eigenvalue at E is not below it: u(n - 1) = 0 is a change
+        u[-1] = np.where(u[-1] == 0.0, -u[-2], u[-1])
+    return system.sites - 1 - _sign_changes(u)
+
+
 def rotation_count(system, E):
     """Sturm oscillation count over one period: the number of Dirichlet
     eigenvalues below each real energy of a 1-d batch.
@@ -671,11 +680,7 @@ def rotation_count(system, E):
     """
     E = np.asarray(E, dtype=float)
     if system.kind == "discrete":
-        u = system._prefix_table(E)[:-1, :, 0, 0]
-        if system.sites > 1:
-            # an eigenvalue at E is not below it: u(n - 1) = 0 is a change
-            u[-1] = np.where(u[-1] == 0.0, -u[-2], u[-1])
-        return system.sites - 1 - _sign_changes(u)
+        return _dirichlet_count(system, system._prefix_table(E))
 
     def run(block):
         u = np.zeros((2, block.shape[0]))
@@ -870,9 +875,13 @@ def ids(system, E, bandset=None):
     """
     Earr, scalar = _as_batch(E)
     Earr = Earr.astype(float)
-    M = system.monodromy(Earr)
+    if system.kind == "discrete":
+        # the count and the monodromy share one integration of the period
+        table = system._prefix_table(Earr)
+        M, c = table[-1], _dirichlet_count(system, table)
+    else:
+        M, c = system.monodromy(Earr), rotation_count(system, Earr)
     tr = sl2.tr2(M)
-    c = rotation_count(system, Earr)
     out = _edge_index(system, c, tr) / system.period
     inner = np.flatnonzero(np.abs(tr) < 2.0 - sl2.ELLIPTIC_MARGIN)
     if inner.size:

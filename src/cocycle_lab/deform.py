@@ -23,7 +23,12 @@ import numpy as np
 
 from . import sl2
 from .cocycle import ContinuumCocycle, free_block
-from .errors import DomainError, NotEllipticError, ValidationError
+from .errors import (
+    DomainError,
+    NotEllipticError,
+    NumericOverflowError,
+    ValidationError,
+)
 from .expr import (
     BumpProfile,
     CrumbleExpr,
@@ -148,8 +153,9 @@ def padded_monodromy_formula(base: ContinuumCocycle, E: float,
     return out
 
 
-def frame_data(base: ContinuumCocycle, E: float):
-    """(theta, u, lam) of the base monodromy at an elliptic positive energy.
+def frame_data(base: ContinuumCocycle, E: float) -> tuple[float, complex, float]:
+    """(theta, u, lam) of the (2, 2) base monodromy array at an elliptic
+    positive energy: float turns, complex sl2.invariant_point, float.
 
     lam = exp(d(u, sqrt(E) i)/2) measures how far the invariant point
     sits from the free-energy frame; it controls all padding traces.
@@ -157,10 +163,9 @@ def frame_data(base: ContinuumCocycle, E: float):
     if not E > 0.0:
         raise DomainError("frame data needs E > 0")
     M = base.monodromy(E)
-    m = sl2.Mat2.from_array(M)
-    u = sl2.fixed_point(m)
-    theta = float(sl2.rotation_angle(m))
-    lam = math.exp(sl2.hyp_dist(u.z, 1j * math.sqrt(E)) / 2.0)
+    u = sl2.invariant_point(M)
+    theta = float(sl2.rotation_angles2(M, u))
+    lam = math.exp(float(sl2.hyp_dist2(u, 1j * math.sqrt(E))) / 2.0)
     return theta, u, lam
 
 
@@ -212,9 +217,9 @@ def half_turn_fixed_point(base: ContinuumCocycle, E: float, delta: float,
     rotation, whose invariant point satisfies an explicit quadratic.
     """
     theta, u, lam = frame_data(base, E)
-    B = sl2.conjugator(sl2.Mat2.from_array(base.monodromy(E)))
-    D = sl2.energy_diag(E)
-    Q = B.to_array() @ D.to_array()
+    B = sl2.frames2(np.complex128(u))
+    q = E ** 0.25
+    Q = B @ np.array([[q, 0.0], [0.0, 1.0 / q]])
     R1, lam_svd, _ = proper_svd(Q)
     if not math.isclose(lam, lam_svd, rel_tol=1e-9, abs_tol=1e-12):
         raise NotEllipticError("frame factorization disagrees with the metric")
@@ -231,8 +236,9 @@ def half_turn_fixed_point(base: ContinuumCocycle, E: float, delta: float,
             f"half-phase block is not elliptic at E={E!r}, delta={delta!r}"
         )
     w2 = complex(-b / (2.0 * a), math.sqrt(disc) / (2.0 * abs(a)))
-    Binv_R1 = sl2.Mat2.from_array(B.inv().to_array() @ R1)
-    w = sl2.moebius(Binv_R1, w2).z
+    w = complex(sl2.moebius2(sl2.inv2(B) @ R1, w2))
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)) or w.imag <= 0.0:
+        raise NumericOverflowError("half-phase invariant point out of range")
     return HalfTurnPoint(w=w, a=a, b=b, c=c)
 
 

@@ -1,20 +1,17 @@
 """SL(2,R) matrices acting on the upper half plane.
 
-The stacked kernels (the ``*2`` functions) operate on numpy stacks of
-shape (..., 2, 2) and are what the energy-grid pipelines call; long ordered
-products take (2, 2, n, ...) component planes (plane_product, plane_scan).
-The scalar types (Mat2, HPoint, Turns) and functions are thin wrappers
-that validate their input and compute through those kernels.
+One stacked core: the ``*2`` kernels operate on numpy stacks of shape
+(..., 2, 2) and long ordered products on (2, 2, n, ...) component planes
+(plane_product, plane_scan).  They check nothing; a non-elliptic matrix
+gets a nan fixed point.  invariant_point is the one checked entry, for a
+single matrix whose fixed point must exist.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, NotEllipticError, NumericOverflowError
+from .errors import DomainError, NotEllipticError
 
 # Operations that need |tr A| < 2 reject inputs closer to the boundary
 # than this margin.
@@ -28,176 +25,25 @@ _SPLIT = 134217729.0
 _NEAR_ROTATION = 1e-3
 
 
-def _require_finite(*vals):
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite entry {v!r}")
+def invariant_point(A) -> complex:
+    """Upper-half-plane fixed point of one elliptic 2x2 array.
 
-
-@dataclass(frozen=True)
-class Turns:
-    """Angle measured in full turns, canonicalized to [0, 1)."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_finite(self.value)
-        object.__setattr__(self, "value", self.value % 1.0)
-
-    @property
-    def radians(self) -> float:
-        return 2.0 * math.pi * self.value
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """Point of the upper half plane."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        _require_finite(self.re, self.im)
-        if self.im <= 0.0:
-            raise DomainError(f"HPoint needs im > 0, got {self.im!r}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """Real 2x2 matrix of determinant one, row major."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        _require_finite(self.a, self.b, self.c, self.d)
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > _DET_TOL:
-            raise DomainError(f"determinant {det!r} is not 1 within {_DET_TOL!r}")
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def from_array(cls, m) -> "Mat2":
-        m = np.asarray(m, dtype=float)
-        return cls(float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-
-    def to_array(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=float)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inv(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
-
-    @property
-    def trace(self) -> float:
-        return self.a + self.d
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def norm(self) -> float:
-        """Largest singular value; for det 1 the smallest is its inverse."""
-        return float(norms2(self.to_array()))
-
-
-def rotation(theta) -> Mat2:
-    """Rotation by ``theta`` turns: conjugacy model for elliptic matrices."""
-    t = float(theta) if not isinstance(theta, Turns) else theta.value
-    return Mat2.from_array(rotation2(t))
-
-
-def energy_diag(E: float) -> Mat2:
-    """diag(E**(1/4), E**(-1/4)); conjugates rotations to free propagators."""
-    if E <= 0.0:
-        raise DomainError(f"energy_diag needs E > 0, got {E!r}")
-    q = E ** 0.25
-    return Mat2(q, 0.0, 0.0, 1.0 / q)
-
-
-def moebius(A: Mat2, z) -> HPoint:
-    """Action of A on the upper half plane."""
-    zz = z.z if isinstance(z, HPoint) else complex(z)
-    if zz.imag <= 0.0:
-        raise DomainError("moebius argument must lie in the upper half plane")
-    den = A.c * zz + A.d
-    if den.real * den.real + den.imag * den.imag < 1e-300:
-        raise NumericOverflowError("moebius image out of range (|cz+d| underflow)")
-    w = complex(moebius2(A.to_array(), zz))
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)) or w.imag <= 0.0:
-        raise NumericOverflowError("moebius image out of range")
-    return HPoint(w.real, w.imag)
-
-
-def _require_elliptic(A: Mat2):
-    if abs(A.trace) >= 2.0 - ELLIPTIC_MARGIN:
-        raise NotEllipticError(f"|trace| = {abs(A.trace)!r} is not inside (0, 2)")
-
-
-def fixed_point(A: Mat2) -> HPoint:
-    """Upper-half-plane fixed point of an elliptic A.
-
-    Root of c z^2 + (d - a) z - b = 0 with positive imaginary part.
+    Raises DomainError on a non-finite entry or a determinant off 1 by
+    more than _DET_TOL (nothing is renormalized), and NotEllipticError
+    within ELLIPTIC_MARGIN of |trace| = 2 or where c = 0.
     """
-    _require_elliptic(A)
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise DomainError(f"non-finite entry in {A.tolist()!r}")
+    det, tr = float(det2(A)), float(tr2(A))
+    if abs(det - 1.0) > _DET_TOL:
+        raise DomainError(f"determinant {det!r} is not 1 within {_DET_TOL!r}")
+    if abs(tr) >= 2.0 - ELLIPTIC_MARGIN:
+        raise NotEllipticError(f"|trace| = {abs(tr)!r} is not inside (0, 2)")
     # c = 0 with |tr| < 2 needs a determinant below 1, inside its tolerance
-    if A.c == 0.0:
+    if A[1, 0] == 0.0:
         raise NotEllipticError("degenerate fixed-point equation (c = 0)")
-    u = complex(fixed_points2(A.to_array()))
-    return HPoint(u.real, u.imag)
-
-
-def rotation_angle(A: Mat2) -> Turns:
-    """Rotation number of an elliptic A in (0, 1/2) u (1/2, 1).
-
-    Conjugating by the upper-triangular frame that moves the fixed point
-    to i turns A into an exact rotation; the angle is read off the
-    oriented first column of that rotation.
-    """
-    u = fixed_point(A)
-    return Turns(float(rotation_angles2(A.to_array(), u.z)))
-
-
-def conjugator(A: Mat2) -> Mat2:
-    """Upper-triangular frame B with B . u(A) = i and B A B^-1 a rotation."""
-    return frame_for_point(fixed_point(A))
-
-
-def frame_for_point(u: HPoint) -> Mat2:
-    """The upper-triangular frame sending the point u to i."""
-    return Mat2.from_array(frames2(np.complex128(u.z)))
-
-
-def hyp_dist(z, w) -> float:
-    """Hyperbolic distance on the upper half plane.
-
-    Uses 2*asinh(|z-w| / (2*sqrt(Im z Im w))), which is exact and keeps
-    full precision for nearby points where acosh(1 + eps) would not.
-    """
-    zz = z.z if isinstance(z, HPoint) else complex(z)
-    ww = w.z if isinstance(w, HPoint) else complex(w)
-    if zz.imag <= 0.0 or ww.imag <= 0.0:
-        raise DomainError("hyp_dist arguments must lie in the upper half plane")
-    return float(hyp_dist2(zz, ww))
+    return complex(fixed_points2(A))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +174,8 @@ def power2(A: np.ndarray, k: int) -> np.ndarray:
     determinant.  Plain double products cancel where the power is small
     against |A| (an elliptic A with a far fixed point): for |A| ~ 180 and
     k <= 40 they were up to 5e-8 off the exact power, while the
-    double-double result stays within rounding of it.  Complex stacks are powered through the real 4 x 4 form [[X, -Y], [Y, X]]
-    of X + iY.
+    double-double result stays within rounding of it.  Complex stacks are
+    powered through the real 4 x 4 form [[X, -Y], [Y, X]] of X + iY.
     """
     if k < 0:
         return power2(inv2(A), -k)

@@ -283,17 +283,14 @@ def stage_matrix(family: SlowFamily, alpha: float, m: int, t: float,
 
 def slow_product(family: SlowFamily, alpha: float, t0: float,
                  count: int) -> np.ndarray:
-    """Ordered product A(t0 + (count-1) alpha) ... A(t0)."""
+    """Ordered product A(t0 + (count-1) alpha) ... A(t0) by sl2.plane_product;
+    a determinant drift of the factors is kept, not renormalized away."""
     if count < 0:
         raise ValidationError("product length must be nonnegative")
+    if count == 0:
+        return np.eye(2)
     ts = t0 + alpha * np.arange(count)
-    mats = family(ts)
-    out = np.eye(2)
-    for k in range(count):
-        out = mats[k] @ out
-        if k % 64 == 63:
-            out /= math.sqrt(abs(np.linalg.det(out)))
-    return out
+    return sl2.plane_product(np.moveaxis(family(ts), 0, 2))
 
 
 def stage_product(family: SlowFamily, alpha: float, m: int, t0: float,
@@ -344,22 +341,23 @@ def equidistribution_ks(values: np.ndarray) -> float:
     return float(max(d_plus, d_minus))
 
 
-def fixed_point_stability(A: sl2.Mat2, threshold: float = 1e-3) -> float:
-    """Condition estimate for the invariant point of an elliptic matrix.
+def fixed_point_stability(A: np.ndarray, threshold: float = 1e-3) -> float:
+    """Condition estimate (a float) for the invariant point u of an
+    elliptic (2, 2) array A, from sl2.invariant_point.
 
     exp(d(u, i)) / |sin(2 pi theta)|: an sl2-size perturbation epsilon
-    moves the invariant point by at most about this factor times
-    epsilon.  Requires the rotation angle to clear the threshold, since
-    the invariant point degenerates as the angle approaches 0 or 1/2.
+    moves u by at most about this factor times epsilon.  Requires the
+    rotation angle theta of A to clear the threshold, since the invariant
+    point degenerates as the angle approaches 0 or 1/2.
     """
-    theta = float(sl2.rotation_angle(A))
+    u = sl2.invariant_point(A)
+    theta = float(sl2.rotation_angles2(A, u))
     s = abs(math.sin(2.0 * math.pi * theta))
     if s <= threshold:
         raise DomainError(
             f"rotation angle too close to parabolic: |sin| = {s!r}"
         )
-    u = sl2.fixed_point(A)
-    return math.exp(sl2.hyp_dist(u, 1j)) / s
+    return math.exp(float(sl2.hyp_dist2(u, 1j))) / s
 
 
 def minimal_n(family_of_n: Callable, alpha_of_n: Callable, m: int,

@@ -298,11 +298,11 @@ def test_cache_reuses_and_preserves_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("quantity", ["density", "ids"])
 def test_discrete_sweep_monodromy_calls(tmp_path, monkeypatch, quantity):
-    # a 64-energy grid costs one monodromy call for all its energies; the
-    # per-energy loops made 128 (density, two rotation angles per energy)
-    # and up to 64 (ids).  The density's invariant section reads its
-    # monodromy off the prefix table (_grid_and_monodromy), so that call
-    # counts as one too.
+    # a 64-energy grid costs one integration of the period for all its
+    # energies; the per-energy loops made 128 (density, two rotation angles
+    # per energy) and up to 64 (ids).  The period is integrated by transfer
+    # (monodromy) or by _prefix_table, which the density's invariant
+    # section and the ids count and monodromy read.
     monkeypatch.delenv("COCYCLE_LAB_CACHE", raising=False)
     rows = cli._quantity_rows
     calls = []
@@ -316,7 +316,7 @@ def test_discrete_sweep_monodromy_calls(tmp_path, monkeypatch, quantity):
         return counted
 
     def counted_rows(*args):
-        for name in ("monodromy", "_grid_and_monodromy"):
+        for name in ("transfer", "_prefix_table"):
             monkeypatch.setattr(cyc.DiscreteCocycle, name, counting(name))
         return rows(*args)
 
@@ -326,7 +326,7 @@ def test_discrete_sweep_monodromy_calls(tmp_path, monkeypatch, quantity):
                      quantity, "--emin", "-2.5", "--emax", "2.5", "--count",
                      "64", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) - 2 >= 40
-    assert 1 <= len(calls) <= 2
+    assert calls == ["_prefix_table"]
 
 
 def test_cache_key_tracks_version_and_engine(tmp_path, monkeypatch):

@@ -1017,6 +1017,27 @@ class TestIdsAndDensity:
         assert E.size >= 10
         np.testing.assert_array_equal(ids(sysm, E), j / sysm.period)
 
+    def test_discrete_ids_one_prefix_table(self, monkeypatch):
+        # the count and the monodromy are read off one table per batch
+        sysm = DiscreteCocycle(DiscretePotential((0.3, -0.4, 1.1, 0.2)))
+        E = np.linspace(-2.5, 3.5, 301)
+        want = ids(sysm, E)
+        calls = []
+        table, transfer = DiscreteCocycle._prefix_table, DiscreteCocycle.transfer
+
+        def counted_table(self, E):
+            calls.append("table")
+            return table(self, E)
+
+        def counted_transfer(self, *args):
+            calls.append("transfer")
+            return transfer(self, *args)
+
+        monkeypatch.setattr(DiscreteCocycle, "_prefix_table", counted_table)
+        monkeypatch.setattr(DiscreteCocycle, "transfer", counted_transfer)
+        np.testing.assert_array_equal(ids(sysm, E), want)
+        assert calls == ["table"]
+
 
 class TestInvariantSection:
     @pytest.mark.parametrize("kind", ["continuum", "discrete"])

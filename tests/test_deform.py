@@ -36,7 +36,7 @@ from cocycle_lab.deform import (
     twist_block_parameters,
     twist_family,
 )
-from cocycle_lab.errors import DomainError, ValidationError
+from cocycle_lab.errors import DomainError, NotEllipticError, ValidationError
 from cocycle_lab.potentials import (
     circle_cos,
     cos_family,
@@ -56,10 +56,17 @@ def gap_propagator(E: float, length: float) -> np.ndarray:
     """
     if not E > 0.0:
         raise DomainError("gap propagator display form needs E > 0")
-    D = sl2.energy_diag(E).to_array()
+    q = E ** 0.25
+    D = np.array([[q, 0.0], [0.0, 1.0 / q]])
     phi = math.sqrt(E) * length
     R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     return D @ R @ np.linalg.inv(D)
+
+
+def upper_frame(u: complex) -> np.ndarray:
+    """Upper-triangular frame sending u to i, written out."""
+    s = 1.0 / math.sqrt(u.imag)
+    return np.array([[s, -u.real * s], [0.0, math.sqrt(u.imag)]])
 
 
 def elliptic_energy(base, lo=0.5, hi=6.0, want=1.5):
@@ -204,10 +211,24 @@ def test_frame_data_lambda_is_min_over_rotations():
     base = ContinuumCocycle(pot)
     E = elliptic_energy(base)
     _, u, lam = frame_data(base, E)
-    B = sl2.frame_for_point(u).to_array()
-    D = sl2.energy_diag(E).to_array()
-    _, lam_svd, _ = proper_svd(B @ D)
+    assert isinstance(u, complex)
+    B = upper_frame(u)
+    q = E ** 0.25
+    _, lam_svd, _ = proper_svd(B @ np.diag([q, 1.0 / q]))
     assert lam == pytest.approx(lam_svd, rel=1e-12)
+
+
+def test_frame_data_domain():
+    base = ContinuumCocycle(bump_pot())
+    for E in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            frame_data(base, E)
+        with pytest.raises(DomainError):
+            half_turn_fixed_point(base, E, 0.35, 2)
+    gap = next(float(E) for E in np.linspace(0.5, 12.0, 461)
+               if abs(base.trace(float(E))) > 2.0)
+    with pytest.raises(NotEllipticError):
+        frame_data(base, gap)
 
 
 def test_half_turn_fixed_point_matches_direct():
@@ -217,10 +238,10 @@ def test_half_turn_fixed_point_matches_direct():
     delta, N = 0.35, 2
     spec = PaddingSpec(delta=delta, N=N, n=2)
     G = padded_block_matrix(base, E, spec, 0.5)
-    direct = sl2.fixed_point(sl2.Mat2.from_array(G))
+    direct = sl2.invariant_point(G)
     got = half_turn_fixed_point(base, E, delta, N)
-    assert got.w.real == pytest.approx(direct.re, abs=1e-9)
-    assert got.w.imag == pytest.approx(direct.im, abs=1e-9)
+    assert got.w.real == pytest.approx(direct.real, abs=1e-9)
+    assert got.w.imag == pytest.approx(direct.imag, abs=1e-9)
 
 
 def test_half_turn_quadratic_is_satisfied():
@@ -361,16 +382,14 @@ def test_slide_trace_formula():
     t = n * fam.n0 + 0.5
     E = 0.8
     reps = 3
-    A1 = sl2.Mat2.from_array(DiscreteCocycle.from_family(fam, t).monodromy(E))
-    A2 = sl2.Mat2.from_array(
-        DiscreteCocycle.from_family(fam, t + delta).monodromy(E)
-    )
-    th1 = float(sl2.rotation_angle(A1))
-    th2 = float(sl2.rotation_angle(A2))
-    dist = sl2.hyp_dist(sl2.fixed_point(A1), sl2.fixed_point(A2))
+    A1 = DiscreteCocycle.from_family(fam, t).monodromy(E)
+    A2 = DiscreteCocycle.from_family(fam, t + delta).monodromy(E)
+    u1, u2 = sl2.invariant_point(A1), sl2.invariant_point(A2)
+    th1 = float(sl2.rotation_angles2(A1, u1))
+    th2 = float(sl2.rotation_angles2(A2, u2))
+    dist = float(sl2.hyp_dist2(u1, u2))
     direct = np.trace(
-        np.linalg.matrix_power(A2.to_array(), reps)
-        @ np.linalg.matrix_power(A1.to_array(), 2 * reps)
+        np.linalg.matrix_power(A2, reps) @ np.linalg.matrix_power(A1, 2 * reps)
     )
     want = interleaved_trace(th1, 2 * reps, th2, reps, dist)
     assert direct == pytest.approx(want, abs=1e-10)
@@ -394,16 +413,14 @@ def test_interleaved_trace_same_frame_reduces_to_rotation():
     y2=st.floats(0.2, 3.0),
 )
 def test_interleaved_trace_random_frames(th1, th2, m1, m2, x1, y1, x2, y2):
-    u1 = sl2.HPoint(x1, y1)
-    u2 = sl2.HPoint(x2, y2)
-    B1 = sl2.frame_for_point(u1).to_array()
-    B2 = sl2.frame_for_point(u2).to_array()
-    R1 = sl2.rotation(m1 * th1).to_array()
-    R2 = sl2.rotation(m2 * th2).to_array()
+    u1, u2 = complex(x1, y1), complex(x2, y2)
+    B1, B2 = upper_frame(u1), upper_frame(u2)
+    R1 = sl2.rotation2(m1 * th1)
+    R2 = sl2.rotation2(m2 * th2)
     direct = np.trace(
         np.linalg.inv(B2) @ R2 @ B2 @ np.linalg.inv(B1) @ R1 @ B1
     )
-    want = interleaved_trace(th1, m1, th2, m2, sl2.hyp_dist(u1, u2))
+    want = interleaved_trace(th1, m1, th2, m2, float(sl2.hyp_dist2(u1, u2)))
     assert direct == pytest.approx(want, abs=1e-9)
 
 
