@@ -38,15 +38,17 @@ would make results depend on how energies are blocked).  Complex x stay on
 libm because numpy's complex multiply can round differently in a loop's
 vector body and its tail, so a complex series would depend on array length.
 Zero stretches of the potential are crossed in one exact step
-(free_block).  Nonzero pieces are crossed by fourth-order two-node
-Gauss-Magnus steps (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 2009): for this generator the commutator term does not
-depend on E, so V is sampled once per piece and each step has determinant
-one.  A piece's steps form four contiguous (steps, energies) component
-planes, multiplied by sl2's pairwise product or prefix scan in energy blocks
-small enough to stay in cache.  A cocycle fixes the step count and potential
-samples of each piece once, by step doubling against a stated tolerance; no
-propagator is kept between calls.
+(free_block).  Nonzero pieces are crossed by sixth-order three-node
+Gauss-Magnus steps (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo
+& Ros, Phys. Rep. 470, 2009): for this generator the commutators close on
+2 x 2 entries, so each step's exponent [[a, b], [c, -a]] has c independent
+of E and a, b affine in E.  V is sampled once per piece, those five
+coefficients are kept per step, and each step has determinant one.  A
+piece's steps form four contiguous (steps, energies) component planes,
+multiplied by sl2's pairwise product or prefix scan in energy blocks small
+enough to stay in cache.  A cocycle fixes the step count and the step
+coefficients of each piece once, by step doubling against a stated
+tolerance; no propagator is kept between calls.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ _PROBE_OFFSETS = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 # sin sqrt(x) / sqrt(x) at degree _SERIES_DEGREE; the radius is the largest
 # double at which the dropped tail sum_{k > degree} |x|^k / (2k)! is below
 # 2^-55.  Every Magnus step of the benchmark's padded bump up to E = 5 has
-# |x| <= 8e-5; degree 5 covers such steps up to E of about 3000.
+# |x| <= 3.1e-4 (x grows like h^2 E, and its 192 steps are 1/128 long);
+# degree 5 covers such steps up to E of about 800.
 _SERIES_DEGREE = 5
 _SERIES_RADIUS = 0.048670055640572626
 _COS_COEFS = tuple((-1) ** k / math.factorial(2 * k)
@@ -90,7 +93,7 @@ _SINC_COEFS = tuple((-1) ** k / math.factorial(2 * k + 1)
                     for k in range(_SERIES_DEGREE, -1, -1))
 # identifies the numerics behind every piece propagator; results computed
 # under another engine must not be served from a cache
-ENGINE = (f"gauss-magnus4 step-doubling tol={_TOL!r} "
+ENGINE = (f"gauss-magnus6 step-doubling tol={_TOL!r} "
           f"start={_MIN_STEPS_PER_UNIT}/unit probes={_PROBE_OFFSETS} "
           f"cos-sinc=taylor{_SERIES_DEGREE}+libm "
           "density=invariant-section bands=sturm-count ids=sturm-level")
@@ -173,33 +176,64 @@ def free_block(E, length):
 
 
 # ---------------------------------------------------------------------------
-# nonzero pieces: fourth-order Gauss-Magnus steps
+# nonzero pieces: sixth-order Gauss-Magnus steps
 # ---------------------------------------------------------------------------
 
-# Gauss nodes of a step of length h sit at (1/2 -+ _GAUSS) h
-_GAUSS = math.sqrt(3.0) / 6.0
-_COMMUTATOR = math.sqrt(3.0) / 12.0
+# the three Gauss nodes of a step of length h, in units of h
+_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
-def _magnus_steps(h, a, vbar, E):
-    """Step propagators exp(Omega), Omega = [[a, b], [h, -a]] with
-    b = h (vbar - E), as (2, 2, steps, K) planes; h, a and vbar run along
-    the steps, E along K.  Omega^2 = (a^2 + b h) I, so exp(Omega) =
-    c I + s Omega with the (c, s) of free_block: determinant one, entire."""
-    h, a, vbar = (np.reshape(x, (-1, 1)) for x in (h, a, vbar))
-    shape = np.broadcast_shapes(h.shape, a.shape, vbar.shape, E.shape)
+def _step_coefs(h, v1, v2, v3):
+    """(c, a0, aE, b0, bE) of the sixth-order Magnus exponents
+    Omega = [[a, b], [c, -a]], a = a0 + aE E and b = b0 + bE E, of steps of
+    length h whose potential samples at the Gauss nodes are v1, v2, v3.
+
+    With A(s) = [[0, V(s) - E], [1, 0]] sampled at the nodes, alpha1 = h A2,
+    alpha2 = (sqrt(15) h / 3)(A3 - A1) and alpha3 = (10 h / 3)(A3 - 2 A2 + A1),
+    the exponent of Blanes, Casas & Ros (BIT 40, 2000) is
+      Omega = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240,
+      C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1] / 60.
+    alpha2 and alpha3 are multiples of [[0, 1], [0, 0]], with beta and delta
+    below, so the commutators close on 2 x 2 entries: c does not depend on E,
+    and a and b are affine in it.
+    """
+    beta = (math.sqrt(15.0) / 3.0) * h * (v3 - v1)
+    delta = (10.0 / 3.0) * h * (v3 - 2.0 * v2 + v1)
+    h2, bb = h * h, beta * beta
+    c = h + (h2 * h * bb - 20.0 * h2 * delta) / 3600.0
+    a0 = (20.0 * h * beta - h2 * beta * delta / 30.0
+          - (4.0 / 3.0) * h2 * h * beta * v2) / 240.0
+    aE = h2 * h * beta / 180.0
+    # the coefficient of q2 = v2 - E in 120 (b - h q2 - delta / 12)
+    w = h2 * h * bb / 30.0 + (2.0 / 3.0) * h2 * delta
+    b0 = h * v2 + delta / 12.0 + (h * (delta * delta / 30.0 - bb) + v2 * w) / 120.0
+    bE = -h - w / 120.0
+    return c, a0, aE, b0, bE
+
+
+def _magnus_steps(coefs, E):
+    """Step propagators exp(Omega), Omega = [[a, b], [c, -a]] with
+    a = a0 + aE E and b = b0 + bE E, as (2, 2, steps, K) planes; the
+    coefficients (c, a0, aE, b0, bE) run along the steps, E along K.
+    Omega^2 = (a^2 + b c) I, so exp(Omega) = C I + S Omega with the (C, S)
+    of free_block: determinant one, entire in E."""
+    c, a0, aE, b0, bE = (np.reshape(x, (-1, 1)) for x in coefs)
+    shape = np.broadcast_shapes(c.shape, a0.shape, E.shape)
     out = np.empty((2, 2) + shape, dtype=np.result_type(E, float))
-    # b, x, c and s are worked out in the planes, so a block allocates
-    # little else and the next block reuses its memory (no page faults)
-    c, b, x, s = out[0, 0], out[0, 1], out[1, 0], out[1, 1]
-    np.multiply(h, np.subtract(vbar, E, out=b), out=b)
-    np.negative(np.add(a * a, np.multiply(b, h, out=x), out=x), out=x)
-    _cos_sinc(x, c, s)
-    sa = s * a
-    np.multiply(s, h, out=x)
-    np.multiply(s, b, out=b)
-    np.subtract(c, sa, out=s)
-    np.add(c, sa, out=c)
+    # a, b, x and C are worked out in the planes and S in one more array, so
+    # a block allocates little else and the next block reuses its memory
+    # (no page faults)
+    a, b, x, C = out[0, 0], out[0, 1], out[1, 0], out[1, 1]
+    np.add(np.multiply(aE, E, out=a), a0, out=a)
+    np.add(np.multiply(bE, E, out=b), b0, out=b)
+    S = a * a
+    np.negative(np.add(S, np.multiply(b, c, out=x), out=x), out=x)
+    _cos_sinc(x, C, S)
+    np.multiply(S, c, out=x)
+    np.multiply(S, b, out=b)
+    np.multiply(S, a, out=S)
+    np.add(C, S, out=a)
+    np.subtract(C, S, out=C)
     return out
 
 
@@ -207,13 +241,14 @@ class _Piece:
     """Propagators across one nonzero piece, V(s) = fn(shift + timescale s)
     for s in [0, length], for any batch of energies.
 
-    V is sampled once, at the Gauss nodes of ``steps`` equal steps; the
-    samples do not depend on E.  ``steps`` is the first count in
-    n0, 2 n0, 4 n0, ... (n0 = _MIN_STEPS_PER_UNIT per unit length) whose
-    piece propagator differs from the one with twice the steps by at most
-    _TOL, relative to max(1, its size), at every probe energy.  For a
-    fourth-order method that difference estimates the error of the coarser
-    propagator, so the count grows with the timescale and with narrow
+    V is sampled once, at the three Gauss nodes of each of ``steps`` equal
+    steps, and the steps' Magnus coefficients (_step_coefs) are kept; they
+    do not depend on E.  ``steps`` is the first count in n0, 2 n0, 4 n0, ...
+    (n0 = _MIN_STEPS_PER_UNIT per unit length) whose piece propagator
+    differs from the one with twice the steps by at most _TOL, relative to
+    max(1, its size), at every probe energy.  For a sixth-order method
+    that difference estimates the error of the coarser propagator (to a
+    factor 64 / 63), so the count grows with the timescale and with narrow
     features of V and is the same for every energy.
     """
 
@@ -223,57 +258,59 @@ class _Piece:
         self._timescale = timescale
         self.length = length
         n = max(1, math.ceil(_MIN_STEPS_PER_UNIT * length))
-        coarse = self._uniform(n)
-        v = coarse[2]
+        h = length / n
+        v = self._sample(h * np.arange(n), h)
         probes = np.concatenate([[v.min() - 1.0], v.max() + np.array(_PROBE_OFFSETS)])
-        coarse_prop = sl2.plane_product(_magnus_steps(*coarse, probes))
+        coarse = _step_coefs(h, *v)
+        coarse_prop = sl2.plane_product(_magnus_steps(coarse, probes))
         while True:
             if 2 * n > _MAX_STEPS:
                 raise IntegrationFailureError(
                     f"piece needs more than {_MAX_STEPS} Magnus steps to meet "
                     f"tolerance {_TOL!r}", interval=(0.0, length))
             fine = self._uniform(2 * n)
-            fine_prop = sl2.plane_product(_magnus_steps(*fine, probes))
+            fine_prop = sl2.plane_product(_magnus_steps(fine, probes))
             size = np.maximum(1.0, np.max(np.abs(fine_prop), axis=(0, 1)))
             err = np.max(np.abs(coarse_prop - fine_prop), axis=(0, 1)) / size
             if np.all(err <= _TOL):
                 break
             n, coarse, coarse_prop = 2 * n, fine, fine_prop
         self.steps = n
-        self._h, self._a, self._vbar = coarse
+        self._h = length / n
+        self._coefs = coarse
 
     def _sample(self, left, h):
-        """(a, vbar) of the Magnus steps [left, left + h]; left and h broadcast."""
+        """V at the Gauss nodes of the Magnus steps [left, left + h], as a
+        (3, steps) array; left and h broadcast."""
         left, h = np.broadcast_arrays(left, h)
-        nodes = np.concatenate([left + h * (0.5 - _GAUSS), left + h * (0.5 + _GAUSS)])
-        v = self._fn(self._shift + self._timescale * nodes)
+        nodes = left + h * _NODES[:, None]
+        v = self._fn(self._shift + self._timescale * nodes.ravel())
         if not np.all(np.isfinite(v)):
             raise IntegrationFailureError("potential is not finite on the piece",
                                           interval=(0.0, self.length))
-        v1, v2 = v[:left.shape[0]], v[left.shape[0]:]
-        return _COMMUTATOR * h * h * (v2 - v1), 0.5 * (v1 + v2)
+        return v.reshape(nodes.shape)
 
     def _uniform(self, n):
-        """(h, a, vbar) of n equal steps across the piece."""
+        """Magnus coefficients of n equal steps across the piece."""
         h = self.length / n
-        return (h,) + self._sample(h * np.arange(n), h)
+        return _step_coefs(h, *self._sample(h * np.arange(n), h))
 
     def full(self, E):
         """(K, 2, 2) propagator across the whole piece."""
-        P = sl2.plane_product(_magnus_steps(self._h, self._a, self._vbar, E))
+        P = sl2.plane_product(_magnus_steps(self._coefs, E))
         return P.transpose(2, 0, 1)
 
     def prefix(self, E, s):
         """(K, len(s), 2, 2) propagators from the piece start to local times
         s in [0, length]: the scanned products of the whole steps below each
-        time, then one shortened Magnus step up to the time itself."""
+        time, then one shortened Magnus step, with its own three nodes, up to
+        the time itself."""
         k = np.minimum(np.floor(s / self._h), self.steps).astype(int)
         left = k * self._h
         r = np.maximum(s - left, 0.0)
-        short = _magnus_steps(r, *self._sample(left, r), E)
+        short = _magnus_steps(_step_coefs(r, *self._sample(left, r)), E)
         top = int(k.max())
-        whole = sl2.plane_scan(
-            _magnus_steps(self._h, self._a[:top], self._vbar[:top], E))
+        whole = sl2.plane_scan(_magnus_steps([x[:top] for x in self._coefs], E))
         return sl2.mul2(short.transpose(3, 2, 0, 1),
                         whole[:, :, k].transpose(3, 2, 0, 1))
 
@@ -640,14 +677,18 @@ def _sign_changes(u):
     return np.count_nonzero(neg[1:] != neg[:-1], axis=0)
 
 
-def _quarter_turn_steps(h, a, vbar, E):
-    """Magnus step planes of the steps (h, a, vbar), each cut into m equal
-    sub-steps whose phase sqrt(h^2 (E - vbar) - a^2) / m stays below a
-    quarter turn at every energy: exp(Omega / m) ** m = exp(Omega), and such
-    a step cannot carry the solution across two zeros."""
-    phase2 = np.max(h * h * (np.max(E, initial=0.0) - vbar) - a * a)
-    m = max(1, math.ceil(math.sqrt(max(phase2, 0.0)) / (0.5 * math.pi)))
-    return _magnus_steps(h / m, np.repeat(a / m, m), np.repeat(vbar, m), E)
+def _quarter_turn_steps(coefs, E):
+    """Magnus step planes of the steps with coefficients coefs (_step_coefs),
+    each cut into m equal sub-steps whose phase sqrt(x) / m, x = -(a^2 + b c),
+    stays below a quarter turn at every energy: exp(Omega / m) ** m =
+    exp(Omega), and such a step cannot carry the solution across two zeros.
+    x is quadratic in E, so m is read off its largest value over E and the
+    steps."""
+    c, a0, aE, b0, bE = (np.reshape(x, (-1, 1)) for x in coefs)
+    a, b = a0 + aE * E, b0 + bE * E
+    phase2 = np.max(-(a * a + b * c), initial=0.0)
+    m = max(1, math.ceil(math.sqrt(phase2) / (0.5 * math.pi)))
+    return _magnus_steps([np.repeat(x / m, m) for x in coefs], E)
 
 
 def _dirichlet_count(system, table):
@@ -690,9 +731,9 @@ def rotation_count(system, E):
         for _, length, piece in system._segments:
             key = length if piece is None else piece
             if key not in scans:
-                steps = ((length, 0.0, 0.0) if piece is None
-                         else (piece._h, piece._a, piece._vbar))
-                scans[key] = sl2.plane_scan(_quarter_turn_steps(*steps, block))
+                steps = ((length, 0.0, 0.0, 0.0, -length) if piece is None
+                         else piece._coefs)
+                scans[key] = sl2.plane_scan(_quarter_turn_steps(steps, block))
             Q = scans[key]
             q = Q[1, 0] * u[0] + Q[1, 1] * u[1]
             zeros = zeros + _sign_changes(q)

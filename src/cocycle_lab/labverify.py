@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sl2
+from . import sl2, util
 from . import cocycle as cyc
 from . import deform
 from .errors import (
@@ -841,9 +841,17 @@ def crooked_metric(
     }
 
 
+# Gauss-Legendre order of the integral over a band cut by the cap
+_CAP_ORDER = 64
+
+
 def _band_ids_integral(system, band, m_cap, nodes, t_samples=512):
     """Integral of the state density over one band, edge singularities
-    absorbed by trig or square-root substitution."""
+    absorbed by substitution: E = mid - half cos(pi u) over a whole band,
+    with the midpoint rule in u on ``nodes`` points (the integrand is smooth
+    and periodic in u); E = lo + span u^2 over a band cut by the cap, with
+    _CAP_ORDER Gauss-Legendre nodes in u (the integrand is smooth, not
+    periodic)."""
     lo, hi = band.lo, band.hi
     if m_cap >= hi:
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -854,9 +862,9 @@ def _band_ids_integral(system, band, m_cap, nodes, t_samples=512):
         span = m_cap - lo
         if span <= 0:
             return 0.0
-        uu = (np.arange(nodes) + 0.5) / nodes
+        uu, ww = util.gauss_nodes(0.0, 1.0, _CAP_ORDER)
         ee = lo + span * uu * uu
-        jac = 2.0 * span * uu / nodes
+        jac = 2.0 * span * uu * ww
     terms = cyc.fixed_point_density(system, ee, t_samples) * jac
     return float(np.sum(np.where(np.isfinite(terms), terms, 0.0)))
 

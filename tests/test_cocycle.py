@@ -238,6 +238,24 @@ def dop853_monodromy(fn, length, E):
     return sol.y[:, -1].reshape(K, 2, 2)
 
 
+def padded_bump_dop853(E):
+    """The PaddingSpec(0.05, 4, 2) padding of the default smooth bump (35
+    segments, period 32.06) and its monodromy: pieces by DOP853, gaps by
+    expm."""
+    base = smooth_bump_potential()
+    pot = deform.pad(base, deform.PaddingSpec(0.05, 4, 2))
+    bump = dop853_monodromy(base.bases["bump"], 1.5, E)
+    want = np.broadcast_to(np.eye(2), (E.shape[0], 2, 2))
+    for seg in pot.segments:
+        if isinstance(seg, Piece):
+            blk = bump
+        else:
+            blk = np.stack([expm(np.array([[0.0, -e], [1.0, 0.0]]) * seg.length)
+                            for e in E])
+        want = blk @ want
+    return pot, want
+
+
 def rel_err(got, want):
     return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
@@ -265,25 +283,16 @@ class TestMagnusEngine:
         assert rel_err(sysm.trace_derivative(E), dwant) <= 1e-9
 
     def test_padded_bump_matches_dop853(self):
-        # 35 segments, period 32.06; pieces by DOP853, gaps by expm
-        base = smooth_bump_potential()
-        pot = deform.pad(base, deform.PaddingSpec(0.05, 4, 2))
         E = np.array([-1.0, 0.3, 2.7, 11.0, 40.0])
-        bump = dop853_monodromy(base.bases["bump"], 1.5, E)
-        want = np.broadcast_to(np.eye(2), (E.shape[0], 2, 2))
-        for seg in pot.segments:
-            if isinstance(seg, Piece):
-                blk = bump
-            else:
-                blk = np.stack([expm(np.array([[0.0, -e], [1.0, 0.0]]) * seg.length)
-                                for e in E])
-            want = blk @ want
+        pot, want = padded_bump_dop853(E)
         got = ContinuumCocycle(pot).monodromy(E)
         # worst seen: 8.2e-10
         assert rel_err(sl2.tr2(got), sl2.tr2(want)) <= 1e-8
 
-    def test_fourth_order_convergence(self, monkeypatch):
-        # an infinite tolerance keeps the first count, length x per_unit steps
+    def test_sixth_order_convergence(self, monkeypatch):
+        # an infinite tolerance keeps the first count, length x per_unit
+        # steps; halving the step divides the error by 2^6 (63.1 and 64.8
+        # measured; the fourth-order steps gave 16.0 and 16.0)
         pot = cosine_well_potential()
         E = np.array([-1.5, 0.4, 3.0, 12.0])
         ref = ContinuumCocycle(pot).monodromy(E)
@@ -293,7 +302,24 @@ class TestMagnusEngine:
             monkeypatch.setattr(cocycle, "_MIN_STEPS_PER_UNIT", per_unit)
             errs.append(rel_err(ContinuumCocycle(pot).monodromy(E), ref))
         for coarse, fine in zip(errs, errs[1:]):
-            assert 12.0 <= coarse / fine <= 20.0
+            assert 48.0 <= coarse / fine <= 80.0
+
+    @pytest.mark.parametrize("kind", ["bump", "well", "padded-bump"])
+    def test_monodromy_accuracy_contract(self, kind):
+        # the engine's stated accuracy below E = 50: 1e-11 relative to
+        # max(1, |M|) against DOP853; worst measured 2.9e-13 (bump),
+        # 4.6e-12 (well) and 2.2e-12 (padded bump), against 7.7e-11,
+        # 2.9e-11 and 3.2e-10 for the fourth-order steps
+        E = np.array([-1.5, -0.3, 0.4, 1.1, 2.7, 5.0, 8.3, 12.0, 20.0, 31.0,
+                      42.0, 50.0])
+        if kind == "padded-bump":
+            pot, want = padded_bump_dop853(E)
+        else:
+            pot = cosine_well_potential() if kind == "well" else smooth_bump_potential()
+            want = dop853_monodromy(pot, pot.period, E)
+        got = ContinuumCocycle(pot).monodromy(E)
+        size = np.maximum(1.0, np.max(np.abs(want), axis=(1, 2)))
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-11 * size)
 
     def test_batched_monodromy_equals_single_energies(self):
         # 300 energies span two batches; every step is elementwise in E
@@ -349,17 +375,66 @@ def reference_cos_sinc(x):
     return c, s
 
 
-def reference_steps(h, a, vbar, E):
+class TestStepCoefs:
+    """cocycle._step_coefs against the sixth-order Magnus exponent formed
+    from explicit 2 x 2 commutators."""
+
+    @staticmethod
+    def exponent(h, v, E):
+        """Omega of Blanes, Casas & Ros (BIT 40, 2000) for dA/ds =
+        [[0, V - E], [1, 0]] A, V sampled v = (v1, v2, v3) at the nodes."""
+        def gen(vk):
+            out = np.zeros(np.shape(vk) + (2, 2))
+            out[..., 0, 1] = vk - E
+            out[..., 1, 0] = 1.0
+            return out
+
+        def comm(X, Y):
+            return np.matmul(X, Y) - np.matmul(Y, X)
+
+        A1, A2, A3 = (gen(vk) for vk in v)
+        h = np.asarray(h)[..., None, None]
+        al1 = h * A2
+        al2 = math.sqrt(15.0) / 3.0 * h * (A3 - A1)
+        al3 = 10.0 / 3.0 * h * (A3 - 2.0 * A2 + A1)
+        C1 = comm(al1, al2)
+        C2 = -comm(al1, 2.0 * al3 + C1) / 60.0
+        return al1 + al3 / 12.0 + comm(-20.0 * al1 - al3 + C1, al2 + C2) / 240.0
+
+    @pytest.mark.parametrize("E", [-7.0, 0.0, 2.5, 60.0])
+    def test_matches_commutators(self, E):
+        # worst measured 4.5e-16 relative
+        rng = np.random.default_rng(11)
+        h = rng.uniform(1e-3, 0.5, 500)
+        v = rng.uniform(-5.0, 5.0, (3, 500))
+        c, a0, aE, b0, bE = cocycle._step_coefs(h, *v)
+        a, b = a0 + aE * E, b0 + bE * E
+        got = np.stack([np.stack([a, b], -1), np.stack([c, -a], -1)], -2)
+        want = self.exponent(h, v, E)
+        size = np.maximum(1.0, np.max(np.abs(want), axis=(1, 2)))
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 4e-15 * size)
+
+    def test_constant_potential_has_no_commutator(self):
+        # beta = delta = 0: Omega = h [[0, v - E], [1, 0]] to the last bit
+        c, a0, aE, b0, bE = cocycle._step_coefs(0.3, 2.0, 2.0, 2.0)
+        assert (c, a0, aE, b0, bE) == (0.3, 0.0, 0.0, 0.3 * 2.0, -0.3)
+
+
+def reference_steps(coefs, E):
     """Magnus step propagators as a (K, steps, 2, 2) stack: the layout the
-    plane kernel replaced, kept as its reference.  (c, s) come from
-    cocycle._cos_sinc, checked on its own in TestCosSinc."""
-    b = h * (vbar - E[:, None])
-    c, s = cocycle._cos_sinc(-(a * a + b * h))
-    out = np.empty(c.shape + (2, 2), dtype=c.dtype)
-    out[..., 0, 0] = c + s * a
-    out[..., 0, 1] = s * b
-    out[..., 1, 0] = s * h
-    out[..., 1, 1] = c - s * a
+    plane kernel replaced, kept as its reference.  The coefficients
+    (c, a0, aE, b0, bE) come from cocycle._step_coefs, checked on its own in
+    TestStepCoefs, and (C, S) from cocycle._cos_sinc, checked in
+    TestCosSinc."""
+    c, a0, aE, b0, bE = (x[None, :] for x in coefs)
+    a = aE * E[:, None] + a0
+    b = bE * E[:, None] + b0
+    C, S = cocycle._cos_sinc(-(a * a + b * c))
+    out = np.empty(C.shape + (2, 2), dtype=C.dtype)
+    out[..., 0, 0] = C + S * a
+    out[..., 0, 1] = S * b
+    out[..., 1, 0] = S * c
+    out[..., 1, 1] = C - S * a
     return out
 
 
@@ -455,14 +530,14 @@ class TestPlaneKernel:
 
     E_REAL = np.linspace(-3.0, 40.0, 23)
 
-    @pytest.mark.parametrize("steps", [1, 2, 7, 64, 383, 384])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 64, 192, 383, 384])
     @pytest.mark.parametrize("shift", [0.0, 1e-100, 0.3])
     def test_product_and_scan_equal_reference(self, steps, shift):
         piece = next(p for _, _, p in workload_bump()._segments if p)
-        h, a, vbar = piece._uniform(steps)
+        coefs = piece._uniform(steps)
         E = self.E_REAL + 1j * shift if shift else self.E_REAL
-        planes = cocycle._magnus_steps(h, a, vbar, E)
-        ref = reference_steps(h, a, vbar, E)
+        planes = cocycle._magnus_steps(coefs, E)
+        ref = reference_steps(coefs, E)
         np.testing.assert_array_equal(planes.transpose(3, 2, 0, 1), ref)
         np.testing.assert_array_equal(
             sl2.plane_product(planes).transpose(2, 0, 1), reference_product(ref))
@@ -484,14 +559,14 @@ class TestPlaneKernel:
     def test_piece_full_and_prefix_equal_reference(self, shift):
         piece = next(p for _, _, p in workload_bump()._segments if p)
         E = self.E_REAL + 1j * shift if shift else self.E_REAL
-        steps = reference_steps(piece._h, piece._a, piece._vbar, E)
+        steps = reference_steps(piece._coefs, E)
         np.testing.assert_array_equal(piece.full(E), reference_product(steps))
         s = np.array([0.0, 0.3 * piece._h, piece._h, 0.37, 0.5 * piece.length,
                       piece.length])
         k = np.minimum(np.floor(s / piece._h), piece.steps).astype(int)
         left = k * piece._h
         r = np.maximum(s - left, 0.0)
-        short = reference_steps(r, *piece._sample(left, r), E)
+        short = reference_steps(cocycle._step_coefs(r, *piece._sample(left, r)), E)
         want = sl2.mul2(short, reference_scan(steps)[:, k])
         np.testing.assert_array_equal(piece.prefix(E, s), want)
 
@@ -508,17 +583,17 @@ class TestPlaneKernel:
                      for b in bs.bands])
 
         default = results()
-        assert workload_bump()._batch == 128
+        assert workload_bump()._batch == 256
         monkeypatch.setattr(ContinuumCocycle, "_batch", block)
         for got, want in zip(results(), default):
             np.testing.assert_array_equal(got, want)
 
     def test_workload_bump_step_count(self):
-        # every piece of v0 and of the benchmark's padded bump takes 384 steps
+        # every piece of v0 and of the benchmark's padded bump takes 192 steps
         v0 = load_descriptor(os.path.join(os.path.dirname(__file__), "..",
                                           "descriptors", "v0.json"))
         for sysm in (ContinuumCocycle(v0), workload_bump()):
-            assert {p.steps for _, _, p in sysm._segments if p} == {384}
+            assert {p.steps for _, _, p in sysm._segments if p} == {192}
 
     def test_band_scan_energy_count(self, monkeypatch):
         # every energy the scan evaluates passes through _Piece.full once;
@@ -535,7 +610,7 @@ class TestPlaneKernel:
         assert sum(counted) <= 3300
 
     def test_trace_memory_bounded(self):
-        # 50,000 energies in 128-energy blocks: a 12.4 MB tracemalloc peak
+        # 50,000 energies in 256-energy blocks: a 12.5 MB tracemalloc peak
         # measured (16.7 MB with 256-energy blocks of the former layout)
         sysm = workload_bump()
         E = np.linspace(-0.5, 5.0, 50_000)
@@ -551,7 +626,7 @@ class TestPlaneKernel:
     def test_blocks_reuse_memory(self):
         # a block that returned its work arrays to the system faulted them
         # back in on the next one: 62,634 minor page faults for these
-        # 10,000 energies in the former layout, 617 measured here
+        # 10,000 energies in the former layout, 236 measured here
         resource = pytest.importorskip("resource")
         sysm = workload_bump()
         E = np.linspace(-0.5, 5.0, 10_000)
@@ -1076,7 +1151,7 @@ class TestInvariantSection:
         assert calls == [1]
         calls.clear()
         cocycle.fixed_point_density(sysm, E)
-        assert calls == [128, 128, 44]
+        assert calls == [256, 44]
 
 
 class TestLyapunov:
@@ -1287,9 +1362,9 @@ class TestUniformness:
         assert len(rep.band_deficits) == len(bs) == 3
         # the crossing solves' iteration counts follow the last bits of the
         # band edges: 66 calls over 527 energies with the edges of the
-        # former heuristic band scan
-        assert len(calls) == 64
-        assert sum(calls) == 525
+        # former heuristic band scan, 64 over 525 with the fourth-order steps
+        assert len(calls) == 61
+        assert sum(calls) == 522
 
 
 class TestPropertyComposition:

@@ -387,6 +387,16 @@ def test_good_nice_discrete_ids_deficit(n1):
     assert rep["ids_deficit"] <= 1e-10
 
 
+@pytest.mark.parametrize("M", [1.0, 0.5])
+def test_good_nice_ids_deficit_with_capped_band(M):
+    # the cap cuts a band of cos3: Gauss-Legendre in u = sqrt((E - lo) /
+    # span) left 3.4e-13 (M = 1) and 3.7e-13 (M = 0.5), where the midpoint
+    # rule it replaced left 3.3e-8 and 4.1e-9
+    rep = good_nice_metrics(cos_family(0.3, 3), eps=1e-3, M=M)
+    assert 0.0 < rep["ids_at_M"] < 1.0
+    assert rep["ids_deficit"] <= 1e-11
+
+
 def test_good_for_every_eps_on_periodic_bands():
     # the exponent vanishes identically on band interiors, so any
     # positive tolerance certifies goodness
