@@ -465,10 +465,9 @@ def _cmd_verify(args) -> None:
             raise UsageError("verify good-nice needs a periodic potential")
         params = {"potential_sha1": _descriptor_sha1(pot),
                   "eps": args.eps, "M": args.M,
-                  "per_band": args.per_band, "nodes": args.nodes}
+                  "per_band": args.per_band}
         rep = labverify.good_nice_metrics(pot, args.eps, args.M,
-                                          per_band=args.per_band,
-                                          quad_nodes=args.nodes)
+                                          per_band=args.per_band)
         _write_report(args.out, command, params, rep)
 
     elif verb == "wj-model":
@@ -711,12 +710,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(q)
     q.set_defaults(run=_cmd_verify)
 
-    q = vsub.add_parser("good-nice")
+    blurb = ("sup_L and |IDS(M) - integral of the density over the bands "
+             "clipped at M|, on the edge-regularized band quadrature")
+    q = vsub.add_parser("good-nice", help=blurb, description=blurb)
     q.add_argument("--potential", required=True)
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--M", type=float, required=True)
     q.add_argument("--per-band", type=int, default=32)
-    q.add_argument("--nodes", type=int, default=2048)
     _add_jobs(q)
     _add_out(q)
     q.set_defaults(run=_cmd_verify)

@@ -25,6 +25,8 @@ Density of states, growth, the completeness integral (and labverify's
 crooked metric) are read off one object for both kinds, the invariant section
 (section_points): the upper-half-plane fixed point of the monodromy,
 carried along the period by the prefix transfers, batched over energies.
+Densities are integrated over bands (the completeness integral, labverify's
+IDS integral) by one rule, band_quadrature: E = edge +- x^2 on each half band.
 
 Every continuum propagator is a product of closed-form exponentials
 c I + s Omega of traceless matrices, with (c, s) = (cos w, sin w / w) entire
@@ -1112,19 +1114,21 @@ def bloch_pair(system: DiscreteCocycle, E: float) -> BlochWave:
     return BlochWave(theta=theta, x0=vec, beta=beta)
 
 
-def _band_halves(band: Band):
-    mid = 0.5 * (band.lo + band.hi)
-    return (band.lo, mid, +1), (band.hi, mid, -1)
+def _band_halves(lo: float, hi: float):
+    mid = 0.5 * (lo + hi)
+    return (lo, mid, +1), (hi, mid, -1)
 
 
-def _edge_quad_nodes(band: Band, order: int):
-    """Quadrature nodes/weights on a band with sqrt substitution at edges.
+def band_quadrature(lo: float, hi: float, order: int):
+    """Gauss-Legendre nodes and weights on [lo, hi] for a band density.
 
     On each half the substitution E = edge +- x^2 regularizes the
-    inverse-sqrt blowup of band-edge densities; returns (E_nodes, dE_weights).
+    inverse-sqrt blowup of a density at a band edge; at a regular end
+    (a cap inside a band) the integrand in x stays smooth, so the same rule
+    serves a band cut short.  Returns (E_nodes, dE_weights), 2 * order each.
     """
     Es, Ws = [], []
-    for edge, mid, s in _band_halves(band):
+    for edge, mid, s in _band_halves(lo, hi):
         xs, ws = gauss_nodes(0.0, math.sqrt(abs(mid - edge)), order)
         Es.append(edge + s * xs * xs)
         Ws.append(ws * 2.0 * xs)
@@ -1138,10 +1142,11 @@ def spectral_parseval(system: DiscreteCocycle, bandset: BandSet, n: int,
     For the Bloch pair normalized to unit Wronskian (bloch_pair) this is
     the diagonal completeness integral and should equal 1 at every site n.
     With z_n = section_points(system, E, [n]) = u(n) / u(n-1), the
-    integrand is (|z_n|^2 + 1) / (2 Im z_n); it is evaluated on the edge
-    quadrature nodes of all bands at once.
+    integrand is (|z_n|^2 + 1) / (2 Im z_n); it is evaluated on the
+    band_quadrature nodes of all bands at once.
     """
-    nodes = [_edge_quad_nodes(band, order) for band in bandset.bands]
+    nodes = [band_quadrature(band.lo, band.hi, order)
+             for band in bandset.bands]
     if not nodes:
         return 0.0
     Es, Ws = (np.concatenate(v) for v in zip(*nodes))
@@ -1209,7 +1214,7 @@ def uniformness_check(system, bandset: BandSet, level: float, *,
     total_mass = 0.0
     for band in bandset.bands:
         band_deficit = 0.0
-        for edge, mid, s in _band_halves(band):
+        for edge, mid, s in _band_halves(band.lo, band.hi):
             half = math.sqrt(abs(mid - edge))
 
             def dens(x):

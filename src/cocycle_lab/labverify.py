@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sl2, util
+from . import sl2
 from . import cocycle as cyc
 from . import deform
 from .errors import (
@@ -172,6 +172,27 @@ def _choose_block_count(theta, start, cap, fill=0.01, quota=0.99):
         count *= 2
 
 
+def _padded_product(E, apow, pads, u):
+    """Product pass of a padding step: the blocks padding_block(E, pad,
+    apow) multiplied in pad order, renormalized block by block.
+
+    Returns (product, u_next, alive, drift): alive flags the rows whose
+    every block and product are elliptic with a finite drift d(u_next, u)
+    of the product's fixed point.
+    """
+    alive = np.ones(len(E), dtype=bool)
+    acc = _batch_eye(len(E))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for pad in pads:
+            fac = deform.padding_block(E, pad, apow)
+            alive &= np.abs(sl2.tr2(fac)) < 2.0
+            acc = sl2.renorm2(sl2.mul2(fac, acc))
+        alive &= np.abs(sl2.tr2(acc)) < 2.0 - 1e-9
+        u_next = sl2.fixed_points2(acc)
+        drift = sl2.hyp_dist2(np.where(alive, u_next, 1j), np.where(alive, u, 1j))
+    return acc, u_next, alive & np.isfinite(drift), drift
+
+
 def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
     """One padding step on raw monodromies, streaming in block index.
 
@@ -184,18 +205,9 @@ def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
     count = A.shape[0]
     pads = deform.PaddingSpec(delta, big_n, n).pad_lengths()
     apow = sl2.power2(A, big_n)
-    alive = np.ones(count, dtype=bool)
-    acc = _batch_eye(count)
+    a_next, u_next, alive, drift = _padded_product(E, apow, pads, u)
+    alive &= drift < kappa
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for m in range(2 * n):
-            fac = deform.padding_block(E, pads[m], apow)
-            alive &= np.abs(sl2.tr2(fac)) < 2.0
-            acc = sl2.renorm2(sl2.mul2(fac, acc))
-        a_next = acc
-        alive &= np.abs(sl2.tr2(a_next)) < 2.0 - 1e-9
-        u_next = sl2.fixed_points2(a_next)
-        drift = sl2.hyp_dist2(np.where(alive, u_next, 1j), np.where(alive, u, 1j))
-        alive &= np.isfinite(drift) & (drift < kappa)
         u_next = np.where(alive, u_next, np.nan * (1 + 1j))
         safe_u = np.where(alive, u_next, 1j)
         base_u = np.where(alive, u, 1j)
@@ -214,11 +226,13 @@ def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
 
 def _choose_pad_count(E, A, u, delta, big_n, kappa, cap):
     """Double the pad count until the subsample fraction of energies whose
-    fixed-point drift reaches kappa falls below delta / 2 (or the cap)."""
+    fixed-point drift reaches kappa falls below delta / 2 (or the cap);
+    each tried count runs only the product pass of a padding step."""
+    apow = sl2.power2(A, big_n)
     n = 8
     while True:
-        _, u_next, alive, _, _ = _padding_step(E, A, u, delta, big_n, n, np.inf)
-        drift = sl2.hyp_dist2(np.where(alive, u_next, 1j), np.where(alive, u, 1j))
+        pads = deform.PaddingSpec(delta, big_n, n).pad_lengths()
+        _, _, alive, drift = _padded_product(E, apow, pads, u)
         bad = float(np.mean(alive & (drift >= kappa)))
         if bad <= delta / 2.0 or n >= cap:
             return n
@@ -841,48 +855,22 @@ def crooked_metric(
     }
 
 
-# Gauss-Legendre order of the integral over a band cut by the cap
-_CAP_ORDER = 64
-
-
-def _band_ids_integral(system, band, m_cap, nodes, t_samples=512):
-    """Integral of the state density over one band, edge singularities
-    absorbed by substitution: E = mid - half cos(pi u) over a whole band,
-    with the midpoint rule in u on ``nodes`` points (the integrand is smooth
-    and periodic in u); E = lo + span u^2 over a band cut by the cap, with
-    _CAP_ORDER Gauss-Legendre nodes in u (the integrand is smooth, not
-    periodic)."""
-    lo, hi = band.lo, band.hi
-    if m_cap >= hi:
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        uu = (np.arange(nodes) + 0.5) / nodes
-        ee = mid - half * np.cos(np.pi * uu)
-        jac = half * np.pi * np.sin(np.pi * uu) / nodes
-    else:
-        span = m_cap - lo
-        if span <= 0:
-            return 0.0
-        uu, ww = util.gauss_nodes(0.0, 1.0, _CAP_ORDER)
-        ee = lo + span * uu * uu
-        jac = 2.0 * span * uu * ww
-    terms = cyc.fixed_point_density(system, ee, t_samples) * jac
-    return float(np.sum(np.where(np.isfinite(terms), terms, 0.0)))
-
-
 def good_nice_metrics(
     pot,
     eps: float,
     M: float,
     *,
     per_band: int = 32,
-    quad_nodes: int = 2048,
 ) -> dict:
     """Exponent-flatness and density-consistency metrics below a cap.
 
     sup_L is the largest Lyapunov exponent over band grid energies capped
     at M; ids_deficit compares the integrated density of states at M with
-    the bandwise integral of the density, using substitutions that absorb
-    the inverse square-root band-edge divergence.
+    the integral of the density over every band clipped to [lo, min(hi,
+    M)], on cyc.band_quadrature at spectral_parseval's order 48, whose
+    E = edge +- x^2 map absorbs the inverse square-root band-edge
+    divergence and is smooth at the cap.  A quadrature node outside the
+    spectrum raises NotEllipticError.
     """
     if isinstance(pot, ContinuumPotential):
         system = cyc.ContinuumCocycle(pot)
@@ -899,11 +887,12 @@ def good_nice_metrics(
     else:
         sup_l = 0.0
     ids_at_m = cyc.ids(system, M) if energies.size else 0.0
+    nodes = [cyc.band_quadrature(band.lo, min(band.hi, M), 48)
+             for band in bands.bands if band.lo < M]
     integral = 0.0
-    for band in bands.bands:
-        if band.lo >= M:
-            continue
-        integral += _band_ids_integral(system, band, M, quad_nodes)
+    if nodes:
+        Es, Ws = (np.concatenate(v) for v in zip(*nodes))
+        integral = float(np.sum(cyc.density(system, Es) * Ws))
     deficit = abs(float(ids_at_m) - integral)
     return {
         "kind": "spectral-quality-report",

@@ -1302,7 +1302,7 @@ class TestParsevalAndNormBound:
         for n in (0, 4, -3):
             want = 0.0
             for band in bs.bands:
-                Es, Ws = cocycle._edge_quad_nodes(band, 48)
+                Es, Ws = cocycle.band_quadrature(band.lo, band.hi, 48)
                 vals = []
                 for e in Es:
                     x = bloch_pair(sysm, float(e)).states(sysm, float(e), [n])[0]

@@ -1,5 +1,6 @@
 """Verification pipelines: cascade statistics, sum models, norm identities."""
 
+import dataclasses
 import json
 import math
 
@@ -10,9 +11,15 @@ from hypothesis import strategies as st
 
 from cocycle_lab import cocycle as cyc
 from cocycle_lab import deform, sl2
-from cocycle_lab.errors import DomainError, PipelineCollapseError, ValidationError
+from cocycle_lab.errors import (
+    DomainError,
+    NotEllipticError,
+    PipelineCollapseError,
+    ValidationError,
+)
 from cocycle_lab.labverify import (
     RandomModelSpec,
+    _choose_pad_count,
     carleson_b1,
     carleson_parseval,
     crooked_metric,
@@ -26,6 +33,7 @@ from cocycle_lab.labverify import (
 )
 from cocycle_lab.potentials import (
     cos_family,
+    cosine_well_potential,
     free_continuum,
     free_discrete,
     smooth_bump_potential,
@@ -97,6 +105,31 @@ def test_cascade_collapse_reports_step_index():
                     energy_grid=60, P=1, kappa=1e-12,
                     n_start=8, n_cap=8, pad_cap=8)
     assert exc.value.step in (0, 1)
+
+
+def test_pad_count_search_runs_only_the_product_pass(monkeypatch):
+    # one block power per search and 2n padding blocks per tried n; a full
+    # padding step would build every block twice
+    system = cyc.ContinuumCocycle(bump_pot())
+    A = system.monodromy(np.linspace(0.5, 5.5, 40))
+    inner = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
+    E, A = np.linspace(0.5, 5.5, 40)[inner], A[inner]
+    calls = {"padding_block": 0, "power2": 0}
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    counted(deform, "padding_block")
+    counted(sl2, "power2")
+    # no drift reaches 1e-12, so the search tries every n up to the cap
+    n = _choose_pad_count(E, A, sl2.fixed_points2(A), 0.05, 256, 1e-12, 64)
+    assert n == 64
+    assert calls == {"padding_block": 2 * (8 + 16 + 32 + 64), "power2": 1}
 
 
 def test_cascade_report_is_deterministic():
@@ -367,7 +400,7 @@ def test_crooked_from_cascade_constant():
 def test_good_nice_free_continuum():
     rep = good_nice_metrics(free_continuum(period=1.0), eps=1e-6, M=4.0)
     assert rep["sup_L"] <= 1e-10
-    assert rep["ids_deficit"] <= 1e-6
+    assert rep["ids_deficit"] <= 1e-10
     assert rep["good"] and rep["nice"]
 
 
@@ -387,14 +420,36 @@ def test_good_nice_discrete_ids_deficit(n1):
     assert rep["ids_deficit"] <= 1e-10
 
 
-@pytest.mark.parametrize("M", [1.0, 0.5])
-def test_good_nice_ids_deficit_with_capped_band(M):
-    # the cap cuts a band of cos3: Gauss-Legendre in u = sqrt((E - lo) /
-    # span) left 3.4e-13 (M = 1) and 3.7e-13 (M = 0.5), where the midpoint
-    # rule it replaced left 3.3e-8 and 4.1e-9
-    rep = good_nice_metrics(cos_family(0.3, 3), eps=1e-3, M=M)
-    assert 0.0 < rep["ids_at_M"] < 1.0
-    assert rep["ids_deficit"] <= 1e-11
+@pytest.mark.parametrize("pot, period, M, bound", [
+    pytest.param(cos_family(0.3, 3), 3, 1.0, 1e-11, id="1.0"),
+    pytest.param(cos_family(0.3, 3), 3, 0.5, 1e-11, id="0.5"),
+    pytest.param(bump_pot(), 2.0, 5.0, 1e-10, id="v0-5.0"),
+    pytest.param(cosine_well_potential(3.0, 2.0, 1.0), 3.0, 12.0, 1e-10,
+                 id="well-12.0"),
+])
+def test_good_nice_ids_deficit_with_capped_band(pot, period, M, bound):
+    # the cap cuts a band (cos3) or the scan clips one at M (the bump,
+    # the well); the sqrt map of band_quadrature is smooth at a regular
+    # end: 3.2e-13, 3.1e-13, 6.1e-12 and 3.6e-12 here, where a cosine map
+    # with the midpoint rule left 6.7e-9 (bump) and 6.1e-9 (well)
+    rep = good_nice_metrics(pot, eps=1e-3, M=M)
+    # M sits inside a band: the IDS there is off the gap values j / period
+    levels = rep["ids_at_M"] * period
+    assert abs(levels - round(levels)) > 1e-6
+    assert rep["ids_deficit"] <= bound
+
+
+def test_ids_integral_raises_off_the_spectrum(monkeypatch):
+    # a quadrature node in a gap has no density; it is not read as zero
+    real = cyc.discrete_band_spectrum
+
+    def widened(system, **kw):
+        bs = real(system, **kw)
+        first = dataclasses.replace(bs.bands[0], lo=bs.bands[0].lo - 0.1)
+        return dataclasses.replace(bs, bands=(first,) + bs.bands[1:])
+    monkeypatch.setattr(cyc, "discrete_band_spectrum", widened)
+    with pytest.raises(NotEllipticError):
+        good_nice_metrics(cos_family(0.3, 3), eps=1e-3, M=10.0)
 
 
 def test_good_for_every_eps_on_periodic_bands():
