@@ -8,6 +8,12 @@ in one thread.
 
 Exit codes: 0 success, 1 domain failure (collapse, non-elliptic energy),
 2 usage failure (bad flags, unknown command, malformed descriptor).
+
+Import rule: each process runs one verb, and it compiles every module it
+imports, since the bytecode cache may be off.  So this module imports at
+load only what the spectral verbs need (cocycle, potentials, sl2, util);
+deform, labverify, slowdeform and solenoid are imported inside the command
+bodies or verify branches that call them.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import cocycle as cyc
-from . import deform, labverify, potentials, sl2, slowdeform, solenoid
+from . import potentials, sl2
 from .errors import CocycleLabError, UsageError, ValidationError
 from .potentials import (
     CirclePotential,
@@ -30,7 +36,6 @@ from .potentials import (
     DiscreteFamily,
     DiscretePotential,
 )
-from .solenoid import TowerStage
 from .util import DiskMemo, atomic_write_text, canonical_json, sha1_hex
 
 # ---------------------------------------------------------------------------
@@ -40,8 +45,6 @@ from .util import DiskMemo, atomic_write_text, canonical_json, sha1_hex
 
 def descriptor_json(obj) -> dict:
     """Descriptor dict for any potential-like object or tower stage."""
-    if isinstance(obj, TowerStage):
-        return solenoid.tower_to_json(obj)
     return obj.to_json()
 
 
@@ -71,6 +74,7 @@ def load_descriptor(path: str):
     if not isinstance(doc, dict):
         raise UsageError(f"malformed descriptor {name}: expected a JSON object")
     if doc.get("kind") == "tower":
+        from . import solenoid
         return solenoid.tower_from_json(doc)
     return potentials.potential_from_json(doc)
 
@@ -242,63 +246,61 @@ def _cmd_quantity(args) -> None:
 
 
 def _cmd_deform(args) -> None:
+    from . import deform
     obj = load_descriptor(args.infile)
     verb = args.deform_command
     if verb == "pad":
         pot = _require(obj, ContinuumPotential, "deform pad")
         spec = deform.PaddingSpec(delta=args.delta, N=args.N, n=args.n)
         out = deform.pad(pot, spec)
-        params = {"delta": args.delta, "N": args.N, "n": args.n}
     elif verb == "pad-simple":
         pot = _require(obj, ContinuumPotential, "deform pad-simple")
         out = deform.pad_simple(pot, args.delta, args.n)
-        params = {"delta": args.delta, "n": args.n}
     elif verb == "repeat":
         fam = _require(obj, DiscreteFamily, "deform repeat")
         out = deform.repeat_family(fam, args.n)
-        params = {"n": args.n}
     elif verb == "twist":
         fam = _require(obj, DiscreteFamily, "deform twist")
         out = deform.twist_family(fam, args.n)
-        params = {"n": args.n}
     elif verb == "slide":
         fam = _require(obj, DiscreteFamily, "deform slide")
         out = deform.slide_family(fam, args.delta, args.n)
-        params = {"delta": args.delta, "n": args.n}
     elif verb == "crumble":
         circ = _require(obj, CirclePotential, "deform crumble")
         out = deform.crumble_circle(circ, args.n)
-        params = {"n": args.n}
     else:
         raise UsageError(f"unknown deform verb {verb!r}")
     save_descriptor(out, args.out)
 
 
-def _stage_of(obj) -> TowerStage:
-    if isinstance(obj, TowerStage):
+def _stage_of(obj):
+    """The tower stage of a loaded tower or continuum descriptor."""
+    from . import solenoid
+    if isinstance(obj, solenoid.TowerStage):
         return obj
     if isinstance(obj, ContinuumPotential):
         return solenoid.base_stage(obj)
     raise UsageError("tower verbs need a tower or continuum potential descriptor")
 
 
-def _resolve_ancestor(child: TowerStage, parent: TowerStage) -> TowerStage:
+def _resolve_ancestor(child, parent):
     """The stage in the child's own chain matching the parent descriptor.
 
     Covering-chain checks compare stages by identity, so a parent loaded
     from a separate file must be swapped for its structural twin inside
     the child's parent chain.
     """
-    want = canonical_json(solenoid.tower_to_json(parent))
+    want = canonical_json(parent.to_json())
     node = child
     while node is not None:
-        if canonical_json(solenoid.tower_to_json(node)) == want:
+        if canonical_json(node.to_json()) == want:
             return node
         node = node.parent
     raise UsageError("parent descriptor is not an ancestor stage of the child")
 
 
 def _cmd_tower(args) -> None:
+    from . import deform, solenoid
     verb = args.tower_command
     if verb == "realize-pad":
         stage = _stage_of(load_descriptor(args.infile))
@@ -342,6 +344,7 @@ def _cmd_verify(args) -> None:
     command = f"verify {verb}"
 
     if verb == "lemma22":
+        from . import labverify
         pot = _require(load_descriptor(args.potential), ContinuumPotential,
                        "verify lemma22")
         params = {
@@ -356,6 +359,7 @@ def _cmd_verify(args) -> None:
         _write_report(args.out, command, params, rep.to_json())
 
     elif verb == "asd12":
+        from . import labverify
         fam = _require(load_descriptor(args.family), DiscreteFamily,
                        "verify asd12")
         params = {
@@ -374,6 +378,7 @@ def _cmd_verify(args) -> None:
         _write_report(args.out, command, params, rep)
 
     elif verb == "parseval":
+        from . import labverify
         params = {"n": args.n, "seed": args.seed, "grid": args.grid,
                   "lam_max": args.lam_max}
         mats = labverify.random_polar_matrices(args.n, args.lam_max, args.seed)
@@ -381,6 +386,7 @@ def _cmd_verify(args) -> None:
         _write_report(args.out, command, params, rep)
 
     elif verb == "b1":
+        from . import labverify
         rng = np.random.Generator(np.random.Philox(args.seed))
         lambdas = (args.lam_max * rng.random(args.n)).tolist()
         betas = rng.random(args.n).tolist()
@@ -415,6 +421,7 @@ def _cmd_verify(args) -> None:
         _write_report(args.out, command, params, rep)
 
     elif verb == "slowdecay":
+        from . import slowdeform
         ns = _int_list(args.ns)
         params = {"theta0": args.theta0, "wobble": args.wobble,
                   "shear": args.shear, "alpha": args.alpha,
@@ -446,6 +453,7 @@ def _cmd_verify(args) -> None:
         _write_report(args.out, command, params, rep.to_json())
 
     elif verb == "crooked":
+        from . import labverify
         pot = _require(load_descriptor(args.potential), ContinuumPotential,
                        "verify crooked")
         params = {"potential_sha1": _descriptor_sha1(pot),
@@ -459,6 +467,7 @@ def _cmd_verify(args) -> None:
         _write_report(args.out, command, params, rep)
 
     elif verb == "good-nice":
+        from . import labverify
         pot = load_descriptor(args.potential)
         if not isinstance(pot, (ContinuumPotential, DiscreteFamily,
                                 DiscretePotential)):
@@ -471,6 +480,7 @@ def _cmd_verify(args) -> None:
         _write_report(args.out, command, params, rep)
 
     elif verb == "wj-model":
+        from . import labverify
         spec = labverify.RandomModelSpec(
             delta=args.delta, R=args.R, cprime=args.cprime,
             P=args.P, trials=args.trials, seed=args.seed,

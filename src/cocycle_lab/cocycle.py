@@ -544,7 +544,8 @@ class ContinuumCocycle:
 
 
 def step_matrices(E, values):
-    """Stack of one-site transfer matrices, shape (K, n, 2, 2)."""
+    """Stack of one-site transfer matrices, shape (K, n, 2, 2): the steps
+    site_products applies, as one array."""
     E = np.asarray(E)
     values = np.asarray(values, dtype=float)
     K = E.shape[0]
@@ -555,6 +556,38 @@ def step_matrices(E, values):
     out[:, :, 0, 1] = -1.0
     out[:, :, 1, 0] = 1.0
     return out
+
+
+def site_products(E, values):
+    """Yield P_j = S_{j-1} ... S_0, j = 0..n, as (2, 2, *shape) planes, for
+    the one-site steps S_j = [[E - values[j], -1], [1, 0]].
+
+    E and each values[j] broadcast to one shape: (K,) energies, or (slices,
+    K) with values of shape (n, slices, 1).  Each step applies mul2's
+    per-element formulas, its constant entries included, so every product
+    has the bits of mul2(step_matrices(E, values)[:, j], P_j).  The planes
+    are fresh arrays; only two are alive at a time.
+    """
+    E = np.asarray(E)
+    values = np.asarray(values, dtype=float)
+    dt = complex if np.iscomplexobj(E) else float
+    minus_one, one, zero = dt(-1.0), dt(1.0), dt(0.0)
+    P = np.zeros((2, 2) + np.broadcast_shapes(E.shape, values.shape[1:]), dt)
+    P[0, 0] = P[1, 1] = one
+    yield P
+    for v in values:
+        Q = np.empty_like(P)
+        np.multiply(E - v, P[0], out=Q[0])
+        Q[0] += minus_one * P[1]
+        np.multiply(one, P[0], out=Q[1])
+        Q[1] += zero * P[1]
+        P = Q
+        yield P
+
+
+def plane_stack(P):
+    """(2, 2, *shape) planes as a C-contiguous (*shape, 2, 2) stack."""
+    return np.ascontiguousarray(np.moveaxis(P, (0, 1), (-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -579,15 +612,8 @@ class DiscreteCocycle:
 
     def _prefix_table(self, E):
         """P_j = S_{j-1} ... S_0 for j = 0..n, shape (n+1, K, 2, 2)."""
-        n = self.sites
-        K = E.shape[0]
-        dt = complex if np.iscomplexobj(E) else float
-        steps = step_matrices(E, np.asarray(self.pot.values))
-        out = np.empty((n + 1, K, 2, 2), dtype=dt)
-        out[0] = np.broadcast_to(np.eye(2, dtype=dt), (K, 2, 2))
-        for j in range(n):
-            out[j + 1] = sl2.mul2(steps[:, j], out[j])
-        return out
+        return plane_stack(np.stack(list(site_products(E, self.pot.values)),
+                                    axis=2))
 
     prefix = _prefix
 
@@ -613,12 +639,9 @@ class DiscreteCocycle:
         j0, j1 = int(j0), int(j1)
         if j1 < j0:
             return sl2.inv2(self.transfer(E, j1, j0))
-        K = Earr.shape[0]
-        dt = complex if np.iscomplexobj(Earr) else float
-        A = np.broadcast_to(np.eye(2, dtype=dt), (K, 2, 2)).copy()
-        steps = step_matrices(Earr, self.pot(np.arange(j0, j1)))
-        for i in range(j1 - j0):
-            A = sl2.mul2(steps[:, i], A)
+        for P in site_products(Earr, self.pot(np.arange(j0, j1))):
+            pass
+        A = plane_stack(P)
         return A[0] if scalar else A
 
     def monodromy(self, E, j0=0):

@@ -408,25 +408,31 @@ def run_lemma22(
 # ---------------------------------------------------------------------------
 
 
-def _family_prefix_norms(family, t, energies, block_len):
-    """Transfer norms, block-factor norms, and monodromy for one slice.
+def _composite_norms(family, ts, energies, block_len):
+    """Sup transfer norms, block-factor norms and monodromies of all slices.
 
-    Returns (norms, block_norms, mono); norms has shape (sites, E),
-    block_norms (sites / block_len, E) for the product decomposition into
-    consecutive stretches of block_len sites.
+    One site recurrence (cocycle.site_products) runs over every slice t and
+    energy at once, streaming over the sites: it keeps the running max over
+    sites 1..n of the transfer norms, the product at the last block cut
+    (every block_len sites) and the final product.  Returns sup (T, K),
+    block_norms (n // block_len, T, K), the norms of the products over
+    consecutive stretches of block_len sites, and the monodromies
+    (T, K, 2, 2).
     """
-    pot = family.slice(float(t))
-    sys_t = cyc.DiscreteCocycle(pot)
-    sites = np.arange(0, sys_t.sites + 1)
+    values = np.array([family.slice(float(t)).values for t in ts]).T
+    sup = np.full((len(ts), len(energies)), -np.inf)
+    block_norms = []
+    products = cyc.site_products(energies, values[:, :, None])
+    cut = cyc.plane_stack(next(products))
     with np.errstate(all="ignore"):
-        pref = sys_t.prefix_grid(np.asarray(energies, dtype=float), sites)
-        norms = sl2.norms2(pref[:, 1:])
-        cuts = np.arange(0, sys_t.sites + 1, block_len)
-        bnorms = []
-        for j in range(len(cuts) - 1):
-            blk = sl2.mul2(pref[:, cuts[j + 1]], sl2.inv2(pref[:, cuts[j]]))
-            bnorms.append(sl2.norms2(blk))
-    return norms.T, np.stack(bnorms), pref[:, -1]
+        for j, P in enumerate(products, 1):
+            # norms2 needs a contiguous stack for the bits of its einsum
+            A = cyc.plane_stack(P)
+            np.maximum(sup, sl2.norms2(A), out=sup)
+            if j % block_len == 0:
+                block_norms.append(sl2.norms2(sl2.mul2(A, sl2.inv2(cut))))
+                cut = A
+    return sup, np.stack(block_norms), A
 
 
 def run_asd12(
@@ -454,6 +460,11 @@ def run_asd12(
     pairs whose decomposition-factor norm (consecutive stretches one
     pre-final-twist period long) falls below exp((C0 - 2 C_meas) / 4) / 2,
     with C_meas the mean log of the largest factor norm per slice.
+
+    The t_points slices share one site recurrence over the energy grid
+    (_composite_norms).  It stores O(t_points * energy_grid * sites /
+    block_len) numbers, the block norms being the largest: no table of
+    sites x slices x energies is kept.
     """
     if delta < 0:
         raise DomainError("slide size must be nonnegative")
@@ -468,26 +479,19 @@ def run_asd12(
     ts = t_lo + (t_hi - t_lo) * np.arange(t_points) / t_points
 
     block_len = fam3.n1
-
-    def _slice_stats(t):
-        norms, bnorms, mono = _family_prefix_norms(fam4, t, energies, block_len)
-        with np.errstate(all="ignore"):
-            tr = sl2.tr2(mono)
-            ell = np.isfinite(tr) & (np.abs(tr) < 2.0 - 1e-9)
-            pot0 = base.slice(float(t))
-            mono0 = cyc.DiscreteCocycle(pot0).monodromy(energies)
-            ell0 = np.abs(sl2.tr2(mono0)) < 2.0 - 1e-9
-            u_t = sl2.fixed_points2(np.where(ell[:, None, None], mono, _SAFE_ROT))
-            u_0 = sl2.fixed_points2(np.where(ell0[:, None, None], mono0, _SAFE_ROT))
-            u_t = np.where(ell, u_t, np.nan * (1 + 1j))
-            u_0 = np.where(ell0, u_0, np.nan * (1 + 1j))
-        return norms, bnorms, u_t, u_0, ell & ell0
-
-    stats = [_slice_stats(t) for t in ts]
-    sup_log = np.stack([np.log(np.max(s[0], axis=0)) for s in stats])
-    u_grid = np.stack([s[2] for s in stats])
-    u0_grid = np.stack([s[3] for s in stats])
-    ell_grid = np.stack([s[4] for s in stats])
+    sup, block_norms, mono = _composite_norms(fam4, ts, energies, block_len)
+    with np.errstate(all="ignore"):
+        tr = sl2.tr2(mono)
+        ell = np.isfinite(tr) & (np.abs(tr) < 2.0 - 1e-9)
+        mono0 = np.stack([cyc.DiscreteCocycle(base.slice(float(t))).monodromy(energies)
+                          for t in ts])
+        ell0 = np.abs(sl2.tr2(mono0)) < 2.0 - 1e-9
+        u_grid = sl2.fixed_points2(np.where(ell[..., None, None], mono, _SAFE_ROT))
+        u0_grid = sl2.fixed_points2(np.where(ell0[..., None, None], mono0, _SAFE_ROT))
+        u_grid = np.where(ell, u_grid, np.nan * (1 + 1j))
+        u0_grid = np.where(ell0, u0_grid, np.nan * (1 + 1j))
+    sup_log = np.log(sup)
+    ell_grid = ell & ell0
 
     retained = np.all(ell_grid, axis=0)
     theta0 = np.full(energy_grid, np.nan)
@@ -514,15 +518,12 @@ def run_asd12(
         )
 
     inf_sup = np.min(sup_log, axis=0)
-    block_sup = np.stack([np.log(np.max(s[1], axis=0)) for s in stats])
+    block_sup = np.log(np.max(block_norms, axis=0))
     c_meas = float(np.mean(block_sup[:, retained]))
     tau = math.exp((C0 - 2.0 * c_meas) / 4.0) / 2.0
-    bad = 0
-    total = 0
-    for s in stats:
-        blocks_kept = s[1][:, retained]
-        bad += int(np.sum(blocks_kept < tau))
-        total += blocks_kept.size
+    blocks_kept = block_norms[:, :, retained]
+    bad = int(np.sum(blocks_kept < tau))
+    total = blocks_kept.size
     report = {
         "kind": "composite-deformation-report",
         "delta": delta,

@@ -53,14 +53,6 @@ class Window:
     extra_time: float
     block: int
 
-    def log_weight(self, x: np.ndarray) -> np.ndarray:
-        s = (np.asarray(x, dtype=float) - self.start) / self.length
-        out = np.zeros_like(s)
-        inside = (s > 0.0) & (s < 1.0)
-        if np.any(inside):
-            out[inside] = -self.depth * ramp_profile(s[inside], self.beta)
-        return out
-
     def to_json(self):
         return asdict(self)
 
@@ -124,12 +116,31 @@ class TowerStage:
             return np.asarray(self.potential(x))
         return self.parent.v(np.mod(x, self.parent.arc_length))
 
+    @cached_property
+    def _window_table(self):
+        """starts, lengths, depths and betas of the windows, by start."""
+        marked = sorted(self.windows, key=lambda w: w.start)
+        return tuple(np.array([getattr(w, name) for w in marked])
+                     for name in ("start", "length", "depth", "beta"))
+
     def log_w(self, x) -> np.ndarray:
-        """Log time-change density: own windows plus the inherited weight."""
+        """Log time-change density: own windows plus the inherited weight.
+
+        The windows are disjoint, so x can lie only in the one with the
+        last start below it: another window reaches x only inside the
+        1e-12 overlap slack, where its ramp is exactly 0.
+        """
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for w in self.windows:
-            out += w.log_weight(x)
+        if self.windows:
+            starts, lengths, depths, betas = self._window_table
+            k = np.maximum(np.searchsorted(starts, x) - 1, 0)
+            s = (x - starts[k]) / lengths[k]
+            inside = (s > 0.0) & (s < 1.0)
+            for beta in set(betas.tolist()):
+                sel = inside & (betas[k] == beta)
+                if np.any(sel):
+                    out[sel] = -depths[k[sel]] * ramp_profile(s[sel], beta)
         if self.parent is not None:
             out += self.parent.log_w(np.mod(x, self.parent.arc_length))
         return out
@@ -158,6 +169,10 @@ class TowerStage:
         return max(w.depth for w in self.windows)
 
     def to_json(self):
+        """Tower descriptor of this stage and its parent chain."""
+        return tower_to_json(self)
+
+    def _record(self):
         rec = {
             "depth": self.depth,
             "multiplicity": self.multiplicity,
@@ -713,7 +728,7 @@ def tower_to_json(stage: TowerStage) -> dict:
         chain.append(node)
         node = node.parent
     chain.reverse()
-    return {"kind": "tower", "stages": [s.to_json() for s in chain]}
+    return {"kind": "tower", "stages": [s._record() for s in chain]}
 
 
 def tower_from_json(d: dict) -> TowerStage:

@@ -394,6 +394,43 @@ def test_discrete_verbs_leave_out_numpy_ma(tmp_path):
     assert done.stdout.split() == ["0", "0", "False"]
 
 
+def test_verbs_import_only_their_modules(tmp_path):
+    # each CLI process compiles what it imports; a verb loads the pipeline
+    # modules it calls and no other.  After each verb the four modules are
+    # unloaded, so every verb starts from the bare CLI
+    cos3 = desc("cos3.json")
+    spectral = [["bands", "--potential", cos3]]
+    spectral += [["sweep", "--potential", cos3, "--quantity", q, "--count", "8",
+                  "--samples", "64"] for q in ("ids", "density", "growth")]
+    spectral += [["verify", "spectral-parseval", "--potential", cos3]]
+    runs = spectral + [
+        ["tower", "realize-mix", "--in", desc("v0.json"), "--delta", "0.02",
+         "--n", "3", "--eps0", "0.4"],
+        ["verify", "asd12", "--family", desc("cos2.json"), "--emin", "0.3",
+         "--emax", "0.7", "--grid", "40", "--tpoints", "8"],
+    ]
+    for k, argv in enumerate(runs):
+        argv += ["--out", str(tmp_path / f"out{k}")]
+    code = ("import json, sys\n"
+            "import cocycle_lab, cocycle_lab.cli as cli\n"
+            "heavy = ('deform', 'labverify', 'slowdeform', 'solenoid')\n"
+            "seen = []\n"
+            f"for argv in {runs!r}:\n"
+            "    rc = cli.dispatch(argv)\n"
+            "    seen.append([rc, [m for m in heavy"
+            " if 'cocycle_lab.' + m in sys.modules]])\n"
+            "    for m in heavy:\n"
+            "        sys.modules.pop('cocycle_lab.' + m, None)\n"
+            "        vars(cocycle_lab).pop(m, None)\n"
+            "print(json.dumps(seen))")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen[:len(spectral)] == [[0, []]] * len(spectral)
+    assert seen[len(spectral):] == [[0, ["deform", "solenoid"]],
+                                    [0, ["deform", "labverify"]]]
+
+
 def test_benchmark_tracer_installs_on_the_cli():
     # perfbench/tracing.py wraps the package by attribute name, including
     # cocycle.solve_ivp; a traced continuum trace must count no ODE solve

@@ -688,6 +688,49 @@ class TestDiscreteTransfer:
         E = np.linspace(-2, 2, 9)
         assert np.allclose(sysm.trace_derivative(E), 2 * E - lam, atol=1e-10)
 
+    @staticmethod
+    def _mul2_table(E, values):
+        """P_j = S_{j-1} ... S_0, j = 0..n, by one sl2.mul2 per site."""
+        steps = cocycle.step_matrices(E, np.asarray(values))
+        out = [np.broadcast_to(np.eye(2, dtype=steps.dtype), steps[:, 0].shape)]
+        for j in range(len(values)):
+            out.append(sl2.mul2(steps[:, j], out[-1]))
+        return np.stack(out)
+
+    @pytest.mark.parametrize("complex_step", [False, True])
+    def test_site_products_keep_the_mul2_bits(self, complex_step):
+        # at E = 0, u(2) = 0.5 * 2 - 1 is exactly 0 (its real part with the
+        # complex step): rotation_count reads its sign, so the zero must
+        # come out with the mul2 loop's sign
+        values = (-2.0, -0.5, 1.0)
+        E = np.concatenate([[0.0], np.linspace(-3.1, 3.3, 40), [np.inf]])
+        if complex_step:
+            E = E + 1e-100j
+        sysm = DiscreteCocycle(DiscretePotential(values))
+        with np.errstate(invalid="ignore"):
+            want = self._mul2_table(E, values)
+            planes = list(cocycle.site_products(E, values))
+            table = sysm._prefix_table(E)
+            mono = sysm.monodromy(E)
+        assert want[2, 0, 0, 0].real == 0.0
+        assert table.flags.c_contiguous
+        for got in (np.stack([cocycle.plane_stack(P) for P in planes]), table):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert mono.tobytes() == want[-1].tobytes()
+
+    def test_site_products_batch_slices(self):
+        # a (slices, K) batch gives each slice the bits of its own recurrence
+        fam = cos_family(0.2)
+        values = np.array([fam.slice(t).values for t in (-0.4, 0.1, 0.75)]).T
+        E = np.linspace(-2.0, 2.0, 33)
+        for P in cocycle.site_products(E, values[:, :, None]):
+            pass
+        got = cocycle.plane_stack(P)
+        for s in range(values.shape[1]):
+            want = self._mul2_table(E, values[:, s])[-1]
+            assert got[s].tobytes() == want.tobytes()
+
 
 class TestBandSpectrum:
     def test_free_continuum_edges(self):

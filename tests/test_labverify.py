@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cocycle_lab import cocycle as cyc
 from cocycle_lab import deform, sl2
+from cocycle_lab.cli import load_descriptor
 from cocycle_lab.errors import (
     DomainError,
     NotEllipticError,
@@ -20,6 +22,7 @@ from cocycle_lab.errors import (
 from cocycle_lab.labverify import (
     RandomModelSpec,
     _choose_pad_count,
+    _composite_norms,
     carleson_b1,
     carleson_parseval,
     crooked_metric,
@@ -38,6 +41,8 @@ from cocycle_lab.potentials import (
     free_discrete,
     smooth_bump_potential,
 )
+
+DESCRIPTORS = os.path.join(os.path.dirname(__file__), "..", "descriptors")
 
 
 def bump_pot():
@@ -189,6 +194,42 @@ def test_composite_collapse_on_empty_window():
     with pytest.raises(PipelineCollapseError):
         run_asd12(cos_family(lam=0.2, n1=2), 3.5, 3.9, delta=0.05,
                   energy_grid=40, t_points=6)
+
+
+def _per_slice_norms(family, ts, energies, block_len):
+    """Sup norms, block norms and monodromies read off each slice's own
+    prefix grid, one slice at a time."""
+    sups, blocks, monos = [], [], []
+    for t in ts:
+        sysm = cyc.DiscreteCocycle(family.slice(float(t)))
+        cuts = range(0, sysm.sites + 1, block_len)
+        with np.errstate(all="ignore"):
+            pref = sysm.prefix_grid(energies, np.arange(sysm.sites + 1))
+            sups.append(np.max(sl2.norms2(pref[:, 1:]), axis=1))
+            blocks.append([sl2.norms2(sl2.mul2(pref[:, b], sl2.inv2(pref[:, a])))
+                           for a, b in zip(cuts, cuts[1:])])
+        monos.append(pref[:, -1])
+    return np.array(sups), np.array(blocks).swapaxes(0, 1), np.array(monos)
+
+
+@pytest.mark.parametrize("family, window", [
+    (load_descriptor(os.path.join(DESCRIPTORS, "cos2.json")), (0.3, 0.7)),
+    # the composite family and windows of the cli-discrete benchmark
+    (cos_family(lam=0.2, n1=2), (0.42, 0.58)),
+    (cos_family(lam=0.2, n1=2), (0.47, 0.64)),
+])
+def test_composite_pass_equals_per_slice_prefix_grids(family, window):
+    fam3 = deform.slide_family(deform.repeat_family(
+        deform.twist_family(family, 3), 6), 0.05, 4)
+    fam4 = deform.twist_family(fam3, 3)
+    energies = window[0] + (window[1] - window[0]) * (np.arange(60) + 0.5) / 60
+    ts = -1.0 + 3.0 * np.arange(24) / 24
+    got = _composite_norms(fam4, ts, energies, fam3.n1)
+    want = _per_slice_norms(fam4, ts, energies, fam3.n1)
+    assert got[1].shape == (fam4.n1 // fam3.n1, 24, 60)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
 
 
 def test_composite_report_is_deterministic():
