@@ -12,6 +12,19 @@ Dirichlet solution's zeros over one period number the Dirichlet eigenvalues
 below E, one in each closed gap (the oscillation theorem for Hill's
 equation), so every band and gap band_spectrum reads off its trace scan is
 checked against the count, and the scan is bisected where they disagree.
+The scan reads most of its |trace| <= 2 flags off one interpolant
+(_scan_traces; Berrut & Trefethen, SIAM Review 46, 2004): p of degree 16
+through the exact trace at the 17 Chebyshev-Lobatto points of the scan
+range decides a grid energy where ||p| - 2| > 2 max |p - p8| + 8 eps max |f|,
+with p8 the interpolant of the even-indexed nodes, f the node values and
+the first max over the grid.  The other energies are evaluated exactly; with
+more than 17 of them, a node value that is not finite, or at most 68 grid
+energies, the whole grid is, at the cost of the 17 node energies.  The edge
+solve's bracket ends are evaluated exactly, so with the flags right the
+bands are those of the exact scan bit for bit.  The margin is an estimate,
+not a bound: a wrong flag cannot drop or invent a band, which the count
+still certifies, but it can move an edge's last bits or make the scan raise
+ResolutionError.
 
 The count and the trace sign give every real energy one integer, its level
 (sturm_level): 2k + 1 inside band k (counted from 0) and 2k in the gap above
@@ -799,6 +812,46 @@ def sturm_level(system, E, tr):
 # between inside energies is first bisected to _GAP_WIDTH max(1, |E|)
 _EDGE_TOL = dict(xtol=1e-14, rtol=8.9e-16)
 _GAP_WIDTH = 1e-6
+# degree of the Chebyshev interpolant of the trace behind the band scan
+_SCAN_DEGREE = 16
+
+
+def _lobatto_interpolant(f, t):
+    """Values at t in [-1, 1] of the polynomial of degree d through the values
+    f at the Chebyshev-Lobatto points cos(pi j / d), j = 0 .. d: Clenshaw's
+    recurrence on its Chebyshev coefficients, in O(len(t)) memory."""
+    d = f.shape[0] - 1
+    j = np.arange(d + 1)
+    g = f * (2.0 / d)
+    g[[0, d]] *= 0.5
+    c = np.cos(np.pi / d * np.outer(j, j)) @ g
+    c[[0, d]] *= 0.5
+    t2 = 2.0 * t
+    b1 = b2 = np.zeros_like(t)
+    for ck in c[:0:-1]:
+        b1, b2 = ck + t2 * b1 - b2, b1
+    return c[0] + t * b1 - b2
+
+
+def _scan_traces(tr_of, E):
+    """Traces over the ascending scan grid E, read off the degree
+    _SCAN_DEGREE interpolant of tr_of where it decides |trace| <= 2 (see the
+    module docstring), and the mask of the energies evaluated exactly."""
+    d = _SCAN_DEGREE
+    if E.shape[0] > 4 * (d + 1):
+        mid, half = 0.5 * (E[-1] + E[0]), 0.5 * (E[-1] - E[0])
+        f = tr_of(mid + half * np.cos(np.pi / d * np.arange(d + 1)))
+        t = (E - mid) / half
+        with np.errstate(all="ignore"):
+            p = _lobatto_interpolant(f, t)
+            margin = (2.0 * np.max(np.abs(p - _lobatto_interpolant(f[::2], t)))
+                      + 8.0 * np.finfo(float).eps * np.max(np.abs(f)))
+        undecided = ~(np.abs(np.abs(p) - 2.0) > margin)
+        if np.isfinite(margin) and np.count_nonzero(undecided) <= d + 1:
+            if undecided.any():
+                p[undecided] = tr_of(E[undecided])
+            return p, undecided
+    return tr_of(E), np.ones(E.shape, dtype=bool)
 
 
 def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
@@ -806,17 +859,22 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
     """Closed bands of [e_min, e_max], certified by rotation_count.
 
     Bands are maximal intervals with |trace| <= 2, split where the trace
-    touches +-2, so touching bands and closed gaps stay visible.  Levels
-    (sturm_level) are read at the ends of the scan of grid + 1 energies
-    and of its runs of inside samples; where a level rises
-    more than the samples show, a band or a gap hides, and such intervals
-    are bisected in lockstep.  A gap between inside energies closer than
-    _GAP_WIDTH is placed at its Dirichlet eigenvalue, a root of M[1, 0]: a
-    micro-gap if |trace| > 2 + tangency_tol there, else a touching point.
-    A count that the trace cannot match raises ResolutionError, so ``grid``
-    only sets how much bisection is needed.  Edges are roots of trace = +-2,
-    each lockstep ``util.brentq`` lane running its solo iteration.  ``budget``
-    bounds the energies where the trace, the count or M[1, 0] is evaluated.
+    touches +-2, so touching bands and closed gaps stay visible.  The scan
+    of grid + 1 energies takes its |trace| <= 2 flags from a degree-16
+    Chebyshev interpolant of the trace where they clear its error margin,
+    and evaluates the trace exactly elsewhere, or everywhere where the
+    interpolant does not resolve it (_scan_traces).  Levels (sturm_level)
+    are read at the ends of the scan and of its runs of inside samples;
+    where a level rises more than the samples show, a band or a gap hides,
+    and such intervals are bisected in lockstep.  A gap between inside
+    energies closer than _GAP_WIDTH is placed at its Dirichlet eigenvalue, a
+    root of M[1, 0]: a micro-gap if |trace| > 2 + tangency_tol there, else a
+    touching point.  A count that the trace cannot match raises
+    ResolutionError, so ``grid`` only sets how much bisection is needed.
+    Edges are roots of trace = +-2, each lockstep ``util.brentq`` lane
+    running its solo iteration from exact trace values at both bracket ends.
+    ``budget`` bounds the energies where the trace (interpolation nodes
+    included), the count or M[1, 0] is evaluated.
     """
     if not e_max > e_min:
         raise ValidationError("need e_max > e_min")
@@ -840,7 +898,7 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
                 f"{float(lo[k])!r} and {float(hi[k])!r}")
 
     E = np.linspace(e_min, e_max, grid + 1)
-    tr = tr_of(E)
+    tr, exact = _scan_traces(tr_of, E)
     inside = np.abs(tr) <= 2.0
     runs = np.flatnonzero(np.diff(inside))
     ref = _distinct(np.r_[0, grid, runs + ~inside[runs]])
@@ -881,8 +939,10 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
         tr = np.r_[tr, tr_mid, np.where(touch, np.copysign(2.0, tr_mu), tr_mu)]
         L = np.r_[L, new_L[pick.size:], L[a] + 1]
         cut = np.r_[cut, np.zeros(mid.shape, dtype=bool), touch]
+        exact = np.r_[exact, np.ones(mid.size + mu.size, dtype=bool)]
         order = np.lexsort((L, E))
-        E, tr, L, cut = E[order], tr[order], L[order], cut[order]
+        E, tr, L, cut, exact = (E[order], tr[order], L[order], cut[order],
+                                exact[order])
 
     # each run of inside energies is one band; its ends are roots of
     # trace = +-2 against their outside neighbours, or the scan ends (sign 0)
@@ -890,6 +950,11 @@ def band_spectrum(system, e_min: float, e_max: float, *, grid: int = 4096,
     ins = np.r_[np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1]
     outs = ins + np.repeat([-1, 1], ins.size // 2)
     solve = (outs >= 0) & (outs < E.shape[0])
+    # the bracket ends' values go to the edge solve as numbers
+    redo = _distinct(np.r_[ins[solve], outs[solve]])
+    redo = redo[~exact[redo]]
+    if redo.size:
+        tr[redo] = tr_of(E[redo])
     ends, sign = E[ins], np.zeros(ins.size, dtype=int)
     sign[solve] = np.where(tr[outs[solve]] >= 0.0, 1, -1)
     lo, hi = np.sort([ins[solve], outs[solve]], axis=0)

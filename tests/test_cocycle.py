@@ -775,9 +775,11 @@ class TestBandSpectrum:
         assert bs.bands[1].hi == pytest.approx(2.0, abs=1e-10)
 
     def test_budget_exhaustion_raises(self):
+        # the scan spends 41 energies here: 17 interpolation nodes, then
+        # count energies and the edge solves
         sysm = alt_cocycle()
-        with pytest.raises(ResolutionError):
-            band_spectrum(sysm, -3.0, 3.0, grid=4096, budget=100)
+        with pytest.raises(ResolutionError, match="budget"):
+            band_spectrum(sysm, -3.0, 3.0, grid=4096, budget=20)
 
     def test_edge_signs(self):
         sysm = free_cocycle(2.0)
@@ -863,9 +865,11 @@ class TestBandSpectrum:
             band_spectrum(sysm, -1.0, 12.0)
 
     def test_scan_energy_count(self, monkeypatch):
-        # the benchmark's padded bump at grid 1024: the 1025 scan energies
-        # and 7 band-edge solves of 4 lanes, with 7 count energies; the
-        # former refinement and tangency stages made it 3,181 trace energies
+        # the benchmark's padded bump at grid 1024: 17 interpolation nodes,
+        # 9 energies within the interpolant's margin, 4 bracket ends
+        # re-evaluated and 9 steps of the edge solves, 58 trace energies in
+        # all (1,053 when the scan evaluated its whole grid, 3,181 with the
+        # former refinement and tangency stages), with 7 count energies
         sysm = workload_bump()
         traced, counted = [], []
         trace, count = ContinuumCocycle.trace, cocycle.rotation_count
@@ -881,7 +885,7 @@ class TestBandSpectrum:
         monkeypatch.setattr(ContinuumCocycle, "trace", traced_trace)
         monkeypatch.setattr(cocycle, "rotation_count", counted_count)
         assert len(band_spectrum(sysm, -0.5, 5.0, grid=1024)) == 3
-        assert sum(traced) <= 1025 + 40 and len(traced) <= 12
+        assert sum(traced) <= 60 and len(traced) <= 12
         assert sum(counted) <= 8 and len(counted) == 1
 
     def test_micro_gap_wider_than_tangency_grid(self):
@@ -901,6 +905,107 @@ class TestBandSpectrum:
 
 
 DESCRIPTORS = os.path.join(os.path.dirname(__file__), "..", "descriptors")
+
+
+def _bump_seed(seed):
+    g = np.random.default_rng(seed)
+    return workload_bump(float(g.uniform(0.9, 1.1)), float(g.uniform(0.45, 0.55)))
+
+
+def _exact_scan(tr_of, E):
+    return tr_of(E), np.ones(E.shape, dtype=bool)
+
+
+def _band_bits(bs):
+    return [(b.lo.hex(), b.hi.hex(), b.lo_sign, b.hi_sign) for b in bs.bands]
+
+
+def _over_scan_range(sysm, grid, decides, *e_max):
+    return (sysm, *sysm.scan_range(*e_max), grid, decides)
+
+
+def _descriptor(name):
+    return load_descriptor(os.path.join(DESCRIPTORS, name))
+
+
+# (system, e_min, e_max, grid, whether the interpolant decides the scan)
+SCAN_CASES = {
+    **{f"bump-{seed}": (lambda seed=seed: (_bump_seed(seed), -0.5, 5.0, 1024, True))
+       for seed in (1, 7, 11, 3101)},
+    "v0-12": lambda: _over_scan_range(
+        ContinuumCocycle(_descriptor("v0.json")), 4096, True, 12.0),
+    "well-12": lambda: _over_scan_range(
+        ContinuumCocycle(cosine_well_potential()), 4096, False, 12.0),
+    "padded-bump-12": lambda: (
+        ContinuumCocycle(deform.pad(smooth_bump_potential(),
+                                    deform.PaddingSpec(0.05, 4, 2))),
+        -1.0, 12.0, 1024, False),
+    "cos5-discrete": lambda: _over_scan_range(
+        DiscreteCocycle(_descriptor("cos5.json").slice(0.0)), 4096, True),
+}
+
+
+class TestScanInterpolant:
+    """The band scan's Chebyshev interpolant decides each grid energy as the
+    exact trace does, and never costs more than its nodes."""
+
+    def test_interpolant_reproduces_polynomials(self):
+        d = cocycle._SCAN_DEGREE
+        coefs = np.random.default_rng(3).normal(size=d + 1)
+        t = np.linspace(-1.0, 1.0, 1001)
+        f = np.polyval(coefs, np.cos(np.pi / d * np.arange(d + 1)))
+        got = cocycle._lobatto_interpolant(f, t)
+        assert np.max(np.abs(got - np.polyval(coefs, t))) <= 1e-13
+
+    @pytest.mark.parametrize("name", SCAN_CASES)
+    def test_flags_equal_the_exact_traces(self, name):
+        sysm, lo, hi, grid, decides = SCAN_CASES[name]()
+        E = np.linspace(lo, hi, grid + 1)
+        tr, exact = cocycle._scan_traces(sysm.trace, E)
+        want = sysm.trace(E)
+        assert exact.all() != decides
+        assert np.array_equal(np.abs(tr) <= 2.0, np.abs(want) <= 2.0)
+        outside = np.abs(want) > 2.0
+        assert np.array_equal(np.signbit(tr[outside]), np.signbit(want[outside]))
+        assert np.array_equal(tr[exact], want[exact])
+
+    @pytest.mark.parametrize("name", SCAN_CASES)
+    def test_bands_equal_the_exact_scan(self, name, monkeypatch):
+        sysm, lo, hi, grid, _ = SCAN_CASES[name]()
+        got = band_spectrum(sysm, lo, hi, grid=grid)
+        monkeypatch.setattr(cocycle, "_scan_traces", _exact_scan)
+        assert _band_bits(band_spectrum(sysm, lo, hi, grid=grid)) == _band_bits(got)
+
+    def test_unresolved_trace_costs_the_nodes_at_most(self, monkeypatch):
+        # the PaddingSpec(0.05, 4, 2) bump to E = 1000 has 323 bands, far
+        # beyond a degree-16 interpolant: the scan falls back to the whole
+        # grid, and the node energies are all it spends beyond the exact scan
+        sysm = ContinuumCocycle(deform.pad(smooth_bump_potential(),
+                                           deform.PaddingSpec(0.05, 4, 2)))
+        grid, d = 1024, cocycle._SCAN_DEGREE
+        spent = []
+
+        def tr_of(E):
+            spent.append(E.size)
+            return sysm.trace(E)
+
+        _, exact = cocycle._scan_traces(tr_of, np.linspace(-1.0, 1000.0, grid + 1))
+        assert exact.all() and sum(spent) == grid + 1 + d + 1
+
+        traced = []
+        trace = ContinuumCocycle.trace
+
+        def traced_trace(self, E):
+            traced.append(np.size(E))
+            return trace(self, E)
+
+        monkeypatch.setattr(ContinuumCocycle, "trace", traced_trace)
+        band_spectrum(sysm, -1.0, 1000.0, grid=grid)
+        interpolated = sum(traced)
+        traced.clear()
+        monkeypatch.setattr(cocycle, "_scan_traces", _exact_scan)
+        band_spectrum(sysm, -1.0, 1000.0, grid=grid)
+        assert interpolated == sum(traced) + d + 1
 
 
 def dirichlet_fd_eigenvalues(pot, E_max, h=1e-3):
