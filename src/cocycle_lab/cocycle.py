@@ -59,11 +59,13 @@ Gauss-Magnus steps (Blanes, Casas & Ros, BIT 40, 2000; Blanes, Casas, Oteo
 2 x 2 entries, so each step's exponent [[a, b], [c, -a]] has c independent
 of E and a, b affine in E.  V is sampled once per piece, those five
 coefficients are kept per step, and each step has determinant one.  A
-piece's steps form four contiguous (steps, energies) component planes,
-multiplied by sl2's pairwise product or prefix scan in energy blocks small
-enough to stay in cache.  A cocycle fixes the step count and the step
-coefficients of each piece once, by step doubling against a stated
-tolerance; no propagator is kept between calls.
+cocycle fixes each piece's step count and coefficients once, by step
+doubling against a stated tolerance; no propagator is kept between calls.
+The period pass stays in (2, 2, ..., K) planes end to end: one _free_planes
+call makes all gap exponentials, a piece's step planes feed both its product
+and its prefix scan, and sl2.mul_planes (mul2's bits) chains them.  Stacks
+are formed only where results leave the pass, C-contiguous: moebius2's
+complex multiply rounds by memory layout (a strided grid moved density 1 ulp).
 """
 
 from __future__ import annotations
@@ -172,22 +174,27 @@ def _cos_sinc(x, c=None, s=None):
     return c, s
 
 
+def _free_planes(E, length):
+    """free_block as (2, 2, *shape) planes, from one _cos_sinc call."""
+    E, length = np.asarray(E), np.asarray(length)
+    x = E * (length * length)
+    out = np.empty((2, 2) + x.shape, dtype=np.result_type(x, float))
+    c, s = _cos_sinc(x, out[1, 1, ...], out[1, 0, ...])  # views, also at 0-d
+    np.multiply(-E * length, s, out=out[0, 1, ...])
+    out[0, 0] = c
+    np.multiply(length, s, out=s)
+    return out
+
+
 def free_block(E, length):
     """Propagator of the zero potential over the given length, (...,2,2).
 
     Entire in E: for E > 0 it is the rotation-like block built from
     cos(w L) and sin(w L)/w with w = sqrt(E); negative and complex E
     follow by analytic continuation.  E and length broadcast together.
+    The stack is a view of _free_planes' planes, the one gap exponential.
     """
-    E = np.asarray(E)
-    length = np.asarray(length)
-    c, s = _cos_sinc(E * (length * length))
-    out = np.empty(c.shape + (2, 2), dtype=c.dtype)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -E * length * s
-    out[..., 1, 0] = length * s
-    out[..., 1, 1] = c
-    return out
+    return np.moveaxis(_free_planes(E, length), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +239,8 @@ def _magnus_steps(coefs, E):
     coefficients (c, a0, aE, b0, bE) run along the steps, E along K.
     Omega^2 = (a^2 + b c) I, so exp(Omega) = C I + S Omega with the (C, S)
     of free_block: determinant one, entire in E."""
-    c, a0, aE, b0, bE = (np.reshape(x, (-1, 1)) for x in coefs)
-    shape = np.broadcast_shapes(c.shape, a0.shape, E.shape)
-    out = np.empty((2, 2) + shape, dtype=np.result_type(E, float))
+    c, a0, aE, b0, bE = np.asarray(coefs)[:, :, None]
+    out = np.empty((2, 2, c.shape[0]) + E.shape, dtype=np.result_type(E, float))
     # a, b, x and C are worked out in the planes and S in one more array, so
     # a block allocates little else and the next block reuses its memory
     # (no page faults)
@@ -292,7 +298,7 @@ class _Piece:
             n, coarse, coarse_prop = 2 * n, fine, fine_prop
         self.steps = n
         self._h = length / n
-        self._coefs = coarse
+        self._coefs = np.array(coarse)
 
     def _sample(self, left, h):
         """V at the Gauss nodes of the Magnus steps [left, left + h], as a
@@ -312,22 +318,24 @@ class _Piece:
 
     def full(self, E):
         """(K, 2, 2) propagator across the whole piece."""
-        P = sl2.plane_product(_magnus_steps(self._coefs, E))
-        return P.transpose(2, 0, 1)
+        return plane_stack(sl2.plane_product(_magnus_steps(self._coefs, E)))
 
     def prefix(self, E, s):
-        """(K, len(s), 2, 2) propagators from the piece start to local times
-        s in [0, length]: the scanned products of the whole steps below each
-        time, then one shortened Magnus step, with its own three nodes, up to
-        the time itself."""
+        """(K, len(s), 2, 2) stack of prefix_planes."""
+        P = self.prefix_planes(E, s, _magnus_steps(self._coefs, E))
+        return plane_stack(P.swapaxes(2, 3))
+
+    def prefix_planes(self, E, s, steps):
+        """(2, 2, len(s), K) propagators from the piece start to local times
+        s in [0, length], given the piece's step planes at E: the scanned
+        products of the whole steps below each time, then one shortened
+        Magnus step, with its own three nodes, up to the time itself."""
         k = np.minimum(np.floor(s / self._h), self.steps).astype(int)
         left = k * self._h
         r = np.maximum(s - left, 0.0)
         short = _magnus_steps(_step_coefs(r, *self._sample(left, r)), E)
-        top = int(k.max())
-        whole = sl2.plane_scan(_magnus_steps([x[:top] for x in self._coefs], E))
-        return sl2.mul2(short.transpose(3, 2, 0, 1),
-                        whole[:, :, k].transpose(3, 2, 0, 1))
+        whole = sl2.plane_scan(steps[:, :, :int(k.max())])
+        return sl2.mul_planes(short, whole[:, :, k], np.empty_like(short))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +388,11 @@ def _prefix(self, E, t):
 def _trace(self, E):
     """Monodromy trace over real or complex energies."""
     Earr, scalar = _as_batch(E)
-    out = sl2.tr2(self.monodromy(Earr))
+    if self.kind == "continuum":  # tr2's formula off the monodromy planes
+        planes = self._monodromy_planes
+        out = self._chunked(Earr, lambda b: np.add(*planes(b).diagonal().T))
+    else:
+        out = sl2.tr2(self.monodromy(Earr))
     return float(out[0]) if scalar and not np.iscomplexobj(out) else (
         out[0] if scalar else out)
 
@@ -431,10 +443,11 @@ class ContinuumCocycle:
 
     @cached_property
     def _batch(self):
-        """Energies per block: at most _CHUNK, which bounds prefix_grid's
-        per-time stacks, and at most _BLOCK_STEPS energy-steps of the longest
-        piece, so that its planes (32 bytes per real energy-step) stay in a
-        2 MB L2 cache; of the budgets 2**14 to 2**16 this was the fastest."""
+        """Energies per block: at most _CHUNK, which bounds the planes and
+        the stack of a block's prefix grid, and at most _BLOCK_STEPS
+        energy-steps of the longest piece, so that its step planes (32 bytes
+        per real energy-step) stay in a 2 MB L2 cache; of the budgets 2**14
+        to 2**16 this was the fastest."""
         steps = max((p.steps for _, _, p in self._segments if p is not None),
                     default=1)
         return max(1, min(_CHUNK, _BLOCK_STEPS // steps))
@@ -450,63 +463,66 @@ class ContinuumCocycle:
             return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
         return np.concatenate(parts, axis=0)
 
-    def _entry_matrices(self, E):
-        """A(0 -> segment start) for each segment, then the monodromy:
-        (segments + 1, K, 2, 2).  Each distinct piece or gap length is
-        propagated once."""
-        K = E.shape[0]
-        dt = complex if np.iscomplexobj(E) else float
-        cur = np.broadcast_to(np.eye(2, dtype=dt), (K, 2, 2))
-        entries = [cur]
-        blocks = {}
-        for _, length, piece in self._segments:
-            key = length if piece is None else piece
-            if key not in blocks:
-                blocks[key] = free_block(E, length) if piece is None else piece.full(E)
-            cur = sl2.mul2(blocks[key], cur)
-            entries.append(cur)
-        return np.stack(entries)
-
-    def _in_period(self, E, t, entries):
-        """A(0 -> t) for an array of times t in [0, period]: (K, len(t), 2, 2).
-
-        Times are grouped by the piece or gap length they fall in, so each
-        distinct one is evaluated once for all its times.
-        """
+    @cached_property
+    def _blocks(self):
+        """The distinct pieces and the distinct gap lengths (ascending)."""
         segs = self._segments
-        starts = np.array([s[0] for s in segs])
-        lengths = np.array([s[1] for s in segs])
+        return (tuple(dict.fromkeys(p for _, _, p in segs if p is not None)),
+                _distinct(np.array([length for _, length, p in segs if p is None])))
+
+    def _entry_matrices(self, E):
+        """The _entries planes and the (2, 2, steps, K) Magnus step planes W
+        of each distinct piece, which _in_period scans."""
+        W = {p: _magnus_steps(p._coefs, E) for p in self._blocks[0]}
+        return self._entries(E, {p: sl2.plane_product(w) for p, w in W.items()}), W
+
+    def _entries(self, E, blocks):
+        """A(0 -> segment start) for each segment, then the monodromy, as one
+        (segments + 1, 2, 2, K) plane array, from the propagator planes of
+        the distinct pieces; the gap lengths take one _free_planes call."""
+        segs, L = self._segments, self._blocks[1]
+        blocks.update(zip(L.tolist(), _free_planes(E, L[:, None]).transpose(2, 0, 1, 3)))
+        out = np.empty((len(segs) + 1, 2, 2) + E.shape, np.result_type(E, float))
+        out[0] = np.eye(2)[:, :, None]
+        for i, (_, length, p) in enumerate(segs):
+            sl2.mul_planes(blocks[length if p is None else p], out[i], out[i + 1])
+        return out
+
+    def _in_period(self, E, t):
+        """(A(0 -> t) for times t in [0, period], the monodromy) of one energy
+        block as C-contiguous stacks, off one _entry_matrices pass.  The grid
+        is written through its plane view, one product per group of times: a
+        stable argsort groups them by piece, and all gap times together."""
+        entries, steps = self._entry_matrices(E)
+        segs = self._segments
+        starts, lengths = np.array([s[:2] for s in segs]).T
         idx = np.minimum(np.searchsorted(starts + lengths, t, side="right"),
                          len(segs) - 1)
         local = np.minimum(np.maximum(t - starts[idx], 0.0), lengths[idx])
-        groups = {}
-        for i in _distinct(idx):
-            _, length, piece = segs[i]
-            groups.setdefault(length if piece is None else piece, []).append(i)
-        out = np.empty((E.shape[0], t.shape[0], 2, 2), dtype=entries.dtype)
-        for key, members in groups.items():
-            rows = np.nonzero(np.isin(idx, members))[0]
-            if isinstance(key, _Piece):
-                blk = key.prefix(E, local[rows])
-            else:
-                blk = free_block(E[:, None], local[rows])
-            out[:, rows] = sl2.mul2(blk, entries[idx[rows]].swapaxes(0, 1))
-        return out
+        key = np.array([0 if p is None else id(p) for _, _, p in segs])[idx]
+        order = np.argsort(key, kind="stable")
+        out = np.empty((E.shape[0], t.shape[0], 2, 2), entries.dtype)
+        for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            piece = segs[idx[rows[0]]][2] if rows.size else None
+            blk = (_free_planes(E, local[rows, None]) if piece is None
+                   else piece.prefix_planes(E, local[rows], steps[piece]))
+            out.transpose(2, 3, 1, 0)[:, :, rows] = sl2.mul_planes(
+                blk, entries[idx[rows]].transpose(1, 2, 0, 3), np.empty_like(blk))
+        return out, plane_stack(entries[-1])
 
     prefix = _prefix
 
     def _grid_and_monodromy(self, E, t_grid):
         """(prefix_grid(E, t_grid), monodromy(E)) over a 1-d energy batch,
-        both read off one _entry_matrices pass per energy block."""
+        both read off one _in_period pass per energy block."""
         t_grid = np.asarray(t_grid, dtype=float)
         T = self.period
         ks = np.floor(t_grid / T).astype(int)
         rems = t_grid - ks * T
 
         def run(block):
-            entries = self._entry_matrices(block)
-            grid = self._in_period(block, rems, entries)
-            return _times_period_powers(entries[-1], ks, grid), entries[-1]
+            grid, M = self._in_period(block, rems)
+            return _times_period_powers(M, ks, grid), M
 
         return self._chunked(E, run)
 
@@ -527,20 +543,22 @@ class ContinuumCocycle:
             return self.prefix(E, t1)
         return sl2.mul2(self.prefix(E, t1), sl2.inv2(self.prefix(E, t0)))
 
+    def _monodromy_planes(self, E):
+        """The monodromy of one energy block, (2, 2, K) planes.  Each piece's
+        step planes are dropped after its product: kept to the block's end,
+        they made the heap shrink and fault back in on every block."""
+        return self._entries(E, {p: sl2.plane_product(_magnus_steps(p._coefs, E))
+                                 for p in self._blocks[0]})[-1]
+
     def monodromy(self, E, t0=0.0):
         """A(E, t0, t0 + period)."""
         Earr, scalar = _as_batch(E)
-
-        def run(block):
-            entries = self._entry_matrices(block)
-            M = entries[-1]
-            if t0 == 0.0:
-                return M
-            rem = t0 - math.floor(t0 / self.period) * self.period
-            P = self._in_period(block, np.array([rem]), entries)[:, 0]
-            return sl2.mul2(sl2.mul2(P, M), sl2.inv2(P))
-
-        out = self._chunked(Earr, run)
+        if t0 == 0.0:
+            out = self._chunked(Earr, lambda b: plane_stack(self._monodromy_planes(b)))
+        else:
+            rem = np.array([t0 - math.floor(t0 / self.period) * self.period])
+            P, M = self._chunked(Earr, lambda b: self._in_period(b, rem))
+            out = sl2.mul2(sl2.mul2(P[:, 0], M), sl2.inv2(P[:, 0]))
         return out[0] if scalar else out
 
     trace = _trace

@@ -1,10 +1,11 @@
 """SL(2,R) matrices acting on the upper half plane.
 
 One stacked core: the ``*2`` kernels operate on numpy stacks of shape
-(..., 2, 2) and long ordered products on (2, 2, n, ...) component planes
-(plane_product, plane_scan).  They check nothing; a non-elliptic matrix
-gets a nan fixed point.  invariant_point is the one checked entry, for a
-single matrix whose fixed point must exist.
+(..., 2, 2), and products also on (2, 2, ...) component planes
+(mul_planes, and the long ordered plane_product and plane_scan).  They
+check nothing; a non-elliptic matrix gets a nan fixed point.
+invariant_point is the one checked entry, for a single matrix whose fixed
+point must exist.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ _DET_TOL = 1e-9
 _SPLIT = 134217729.0
 # norms2 switches to its cancellation-free form where |A|_F^2 - 2 is below this
 _NEAR_ROTATION = 1e-3
+# _mul_planes forms all four entries at once on planes of at most this many
+# elements, row by row on larger ones
+_WHOLE_PLANES = 2048
 
 
 def invariant_point(A) -> complex:
@@ -63,12 +67,27 @@ def mul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _mul_planes(A, B, out):
     """out = A . B over (2, 2, ...) planes by mul2's formulas; no overlap.
-    Each output row is one broadcast product per term, so a round costs six
-    ufunc calls."""
+    out[i, j] = A[i, 0] B[0, j] + A[i, 1] B[1, j], one broadcast product per
+    term.  Small planes, where the ufunc calls cost more than the arithmetic,
+    take three calls for all four entries; larger ones take six, row by row,
+    so the temporary is half as large (a whole-size one made each 256-energy
+    block of a trace return its heap and fault it back in)."""
+    if out[0, 0].size <= _WHOLE_PLANES:
+        np.multiply(A[:, 0, None], B[0], out=out)
+        out += A[:, 1, None] * B[1]
+        return out
     for i in range(2):
         np.multiply(A[i, 0, None], B[0], out=out[i])
         out[i] += A[i, 1, None] * B[1]
     return out
+
+
+def mul_planes(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = A . B over (2, 2, ...) component planes, which broadcast; out
+    must not overlap A or B.  It applies mul2's formulas in mul2's order,
+    so each product has mul2's bits.  plane_product and plane_scan call
+    _mul_planes itself, so a traced run counts their calls, not rounds."""
+    return _mul_planes(A, B, out)
 
 
 def plane_product(P: np.ndarray) -> np.ndarray:

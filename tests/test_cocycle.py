@@ -596,18 +596,22 @@ class TestPlaneKernel:
             assert {p.steps for _, _, p in sysm._segments if p} == {192}
 
     def test_band_scan_energy_count(self, monkeypatch):
-        # every energy the scan evaluates passes through _Piece.full once;
-        # 3,207 at this writing
+        # every energy the scan evaluates passes through the piece's step
+        # planes once; 58 at this writing, the trace energies that
+        # TestBandSpectrum.test_scan_energy_count bounds
+        sysm = workload_bump()
+        (piece,) = sysm._blocks[0]
         counted = []
-        full = cocycle._Piece.full
+        steps = cocycle._magnus_steps
 
-        def wrapped(self, E):
-            counted.append(np.size(E))
-            return full(self, E)
+        def wrapped(coefs, E):
+            if coefs is piece._coefs:
+                counted.append(np.size(E))
+            return steps(coefs, E)
 
-        monkeypatch.setattr(cocycle._Piece, "full", wrapped)
-        band_spectrum(workload_bump(), -0.5, 5.0, grid=1024)
-        assert sum(counted) <= 3300
+        monkeypatch.setattr(cocycle, "_magnus_steps", wrapped)
+        band_spectrum(sysm, -0.5, 5.0, grid=1024)
+        assert sum(counted) <= 60
 
     def test_trace_memory_bounded(self):
         # 50,000 energies in 256-energy blocks: a 12.5 MB tracemalloc peak
@@ -634,6 +638,122 @@ class TestPlaneKernel:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         sysm.trace(E)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2_000
+
+
+def reference_period_pass(sysm, E, times):
+    """(prefix grid at times, monodromy) of a continuum cocycle as
+    (K, ..., 2, 2) stacks, by the stack layout the plane pass replaced:
+    free_block and piece blocks (reference_steps, reference_product and
+    reference_scan) chained by sl2.mul2, one time at a time."""
+    segs = sysm._segments
+    cur = np.broadcast_to(np.eye(2, dtype=np.result_type(E, float)), E.shape + (2, 2))
+    entries, blocks, scans = [cur], {}, {}
+    for _, length, piece in segs:
+        key = length if piece is None else piece
+        if key not in blocks:
+            blocks[key] = (free_block(E, length) if piece is None else
+                           reference_product(reference_steps(piece._coefs, E)))
+        cur = sl2.mul2(blocks[key], cur)
+        entries.append(cur)
+    M = entries[-1]
+    ks = np.floor(times / sysm.period).astype(int)
+    ends = np.array([start + length for start, length, _ in segs])
+    grid = np.empty(E.shape + times.shape + (2, 2), M.dtype)
+    for j, t in enumerate(times - ks * sysm.period):
+        i = min(int(np.searchsorted(ends, t, side="right")), len(segs) - 1)
+        start, length, piece = segs[i]
+        s = min(max(t - start, 0.0), length)
+        if piece is None:
+            blk = free_block(E, s)
+        else:
+            if piece not in scans:
+                scans[piece] = reference_scan(reference_steps(piece._coefs, E))
+            k = min(math.floor(s / piece._h), piece.steps)
+            r = np.array([max(s - k * piece._h, 0.0)])
+            coefs = cocycle._step_coefs(r, *piece._sample(k * piece._h, r))
+            blk = sl2.mul2(reference_steps(coefs, E)[:, 0], scans[piece][:, k])
+        grid[:, j] = sl2.mul2(blk, entries[i])
+    return cocycle._times_period_powers(M, ks, grid), M
+
+
+PERIOD_PASS_SYSTEMS = {
+    "v0": lambda: ContinuumCocycle(_descriptor("v0.json")),
+    "well": lambda: ContinuumCocycle(cosine_well_potential()),
+    "padded-well": lambda: ContinuumCocycle(deform.pad(
+        cosine_well_potential(), deform.PaddingSpec(0.1, 2, 2))),
+    "padded-bump": lambda: ContinuumCocycle(deform.pad(
+        smooth_bump_potential(), deform.PaddingSpec(0.05, 4, 2))),
+}
+
+
+class TestPeriodPass:
+    """The plane-native period pass equals the stack pass it replaced bit
+    for bit, and builds each exponential once per energy block."""
+
+    @pytest.mark.parametrize("name", sorted(PERIOD_PASS_SYSTEMS))
+    def test_equals_stack_reference(self, name):
+        sysm = PERIOD_PASS_SYSTEMS[name]()
+        T = sysm.period
+        E = np.linspace(-1.5, 30.0, 300)  # two energy blocks
+        times = np.linspace(-0.3 * T, 2.5 * T, 29)
+        grid, M = reference_period_pass(sysm, E, times)
+        np.testing.assert_array_equal(sysm.trace(E), sl2.tr2(M))
+        np.testing.assert_array_equal(sysm.monodromy(E), M)
+        got = sysm.prefix_grid(E, times)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, grid)
+        t0 = 0.37 * T
+        P = reference_period_pass(sysm, E, np.array([t0]))[0][:, 0]
+        np.testing.assert_array_equal(sysm.monodromy(E, t0=t0),
+                                      sl2.mul2(sl2.mul2(P, M), sl2.inv2(P)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.where(np.abs(sl2.tr2(M)) < 2.0, sl2.fixed_points2(M), np.nan)
+            want = sl2.moebius2(grid, np.broadcast_to(u[:, None], grid.shape[:2]))
+        got = cocycle.section_points(sysm, E, times)
+        assert np.isfinite(got).any() and np.isnan(got).any()
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_free_block_keeps_its_formulas(self, shift):
+        # x = E (L L), then (-E L) s and L s, into a (..., 2, 2) stack
+        E = np.linspace(-40.0, 40.0, 301)[:, None] + 1j * shift if shift else (
+            np.linspace(-40.0, 40.0, 301)[:, None])
+        L = np.array([1e-3, 0.05, 0.4, 1.0, 2.5])
+        c, s = cocycle._cos_sinc(E * (L * L))
+        want = np.empty(c.shape + (2, 2), dtype=c.dtype)
+        want[..., 0, 0] = want[..., 1, 1] = c
+        want[..., 0, 1] = -E * L * s
+        want[..., 1, 0] = L * s
+        np.testing.assert_array_equal(free_block(E, L), want)
+
+    def test_complex_energies_equal_stack_reference(self):
+        # bitwise here too: numpy's complex multiply could round differently
+        # in a loop's vector body and its tail, but these products agree
+        sysm = PERIOD_PASS_SYSTEMS["padded-bump"]()
+        E = np.linspace(-1.5, 30.0, 300) + 0.3j
+        times = np.linspace(-0.3, 2.5, 17) * sysm.period
+        grid, M = reference_period_pass(sysm, E, times)
+        np.testing.assert_array_equal(sysm.trace(E), sl2.tr2(M))
+        np.testing.assert_array_equal(sysm.monodromy(E), M)
+        np.testing.assert_array_equal(sysm.prefix_grid(E, times), grid)
+
+    def test_one_exponential_call_per_block(self, monkeypatch):
+        # the benchmark's padded bump: one distinct piece, two gap lengths
+        sysm = workload_bump()
+        assert len(sysm._blocks[0]) == 1 and len(sysm._blocks[1]) == 2
+        calls = {"_magnus_steps": 0, "_cos_sinc": 0}
+        for name in calls:
+            fn = getattr(cocycle, name)
+            monkeypatch.setattr(cocycle, name, lambda *a, fn=fn, name=name: (
+                calls.__setitem__(name, calls[name] + 1), fn(*a))[1])
+        E = np.linspace(-0.5, 5.0, 40)
+        sysm._grid_and_monodromy(E, np.linspace(0.0, sysm.period, 50))
+        # whole steps once, short steps once
+        assert calls["_magnus_steps"] == 2
+        calls.update(_magnus_steps=0, _cos_sinc=0)
+        sysm.monodromy(E)
+        # all gaps in one call, plus one per piece
+        assert calls == {"_magnus_steps": 1, "_cos_sinc": 2}
 
 
 class TestDiscreteTransfer:
@@ -818,7 +938,7 @@ class TestBandSpectrum:
 
     def test_padded_bump_trace_calls(self, monkeypatch):
         # all brackets of a stage share each trace call: 1061 calls when
-        # each edge had its own scalar solve, 52 now
+        # each edge had its own scalar solve, 24 now
         sysm = ContinuumCocycle(deform.pad(smooth_bump_potential(),
                                            deform.PaddingSpec(0.05, 4, 2)))
         calls = []
@@ -831,7 +951,7 @@ class TestBandSpectrum:
         monkeypatch.setattr(ContinuumCocycle, "trace", counted)
         bs = band_spectrum(sysm, -1.0, 12.0)
         assert len(bs) == 35
-        assert len(calls) <= 100
+        assert len(calls) <= 30
 
     def test_micro_gap_placed_by_dirichlet_eigenvalue(self, monkeypatch):
         # period 3, v = (0, eps, 0): trace E^3 - 3E - eps (E^2 - 1), so the

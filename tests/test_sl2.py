@@ -303,6 +303,30 @@ class TestBatchHelpers:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    @pytest.mark.parametrize("shapes", [((5,), (5,)), ((1, 7), (4, 7)),
+                                        ((3, 1), (3, 6)), ((300,), (300,)),
+                                        ((1, 1500), (2, 1500))])
+    def test_mul_planes_has_mul2_bits(self, shapes, shift):
+        # out[i, j] = A[i, 0] B[0, j] + A[i, 1] B[1, j] over broadcasting
+        # (2, 2, ...) planes, on strided operands too, below and above
+        # _WHOLE_PLANES: each entry has the bits of the explicit formula,
+        # which mul2 also applies
+        rng = np.random.default_rng(11)
+        A, B = (rng.standard_normal((2, 2) + s) for s in shapes)
+        if shift:
+            A, B = A + shift * 1j * A[::-1], B - shift * 1j * B[:, ::-1]
+        strided = np.stack([B, -B], axis=-1)[..., 0]
+        out = sl2.mul_planes(A, strided,
+                             np.empty((2, 2) + np.broadcast_shapes(*shapes), A.dtype))
+        for i in range(2):
+            for j in range(2):
+                np.testing.assert_array_equal(
+                    out[i, j], A[i, 0] * B[0, j] + A[i, 1] * B[1, j])
+        np.testing.assert_array_equal(
+            np.moveaxis(out, (0, 1), (-2, -1)),
+            sl2.mul2(np.moveaxis(A, (0, 1), (-2, -1)), np.moveaxis(B, (0, 1), (-2, -1))))
+
     def test_power_of_complex_stack(self):
         rng = np.random.default_rng(9)
         A = random_elliptic(rng, 8) + 1e-3j * rng.standard_normal((8, 2, 2))
