@@ -45,7 +45,7 @@ def test_bundled_descriptors_round_trip_byte_identical():
     for name in sorted(os.listdir(DESCRIPTORS)):
         path = desc(name)
         raw = read(path)
-        again = canonical_json(cli.descriptor_json(load_descriptor(path))) + "\n"
+        again = canonical_json(load_descriptor(path).to_json()) + "\n"
         assert again == raw
 
 
@@ -57,7 +57,7 @@ def test_save_load_tower_round_trip(tmp_path):
     save_descriptor(child, str(path))
     raw = read(str(path))
     loaded = load_descriptor(str(path))
-    assert canonical_json(cli.descriptor_json(loaded)) + "\n" == raw
+    assert canonical_json(loaded.to_json()) + "\n" == raw
     assert loaded.depth == child.depth
     assert loaded.arc_length == child.arc_length
 
@@ -233,7 +233,7 @@ def _padded_tower():
         "bands-grid-negative", "sweep-count-negative"])
 def test_malformed_fields_are_usage_errors(tmp_path, capsys, source, breaks, field,
                                           command):
-    doc = cli.descriptor_json(source())
+    doc = source().to_json()
     breaks(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -245,6 +245,48 @@ def test_malformed_fields_are_usage_errors(tmp_path, capsys, source, breaks, fie
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert repr(field) in err
+
+
+_UNIFORM = ["verify", "uniform", "--potential", desc("v0.json"), "--level", "0.3"]
+_CROOKED = ["verify", "crooked", "--potential", desc("v0.json"), "--eps1", "0.1",
+            "--C1", "1.5", "--M", "4"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "slowdecay", "--ns", "16,0"], "--ns"),
+    (["verify", "parseval", "--n", "4", "--seed", "-1"], "--seed"),
+    (["verify", "b1", "--n", "4", "--seed", "-1"], "--seed"),
+    (["verify", "spectral-parseval", "--potential", desc("cos3.json"),
+      "--order", "0"], "--order"),
+    (["verify", "spectral-parseval", "--potential", desc("cos3.json"),
+      "--band-order", "0"], "--band-order"),
+    (_UNIFORM + ["--order", "0"], "--order"),
+    (_UNIFORM + ["--scan", "0"], "--scan"),
+    (["verify", "asd12", "--family", desc("cos2.json"), "--emin", "0.3",
+      "--emax", "0.7", "--tpoints", "0"], "--tpoints"),
+    (_CROOKED + ["--per-band", "0"], "--per-band"),
+    (_CROOKED + ["--basepoints", "0"], "--basepoints"),
+    (["verify", "good-nice", "--potential", desc("cos3.json"), "--eps", "0.1",
+      "--M", "1", "--per-band", "0"], "--per-band"),
+    (_CROOKED + ["--tsamples", "0"], "--tsamples"),
+    (["verify", "lemma22", "--potential", desc("v0.json"), "--P", "-1"], "--P"),
+    (["verify", "wj-model", "--delta", "0.02", "--R", "100", "--cprime", "0.2",
+      "--P", "12", "--trials", "50", "--seed", "42", "--bins", "0"], "--bins"),
+    # these exited 1 with "not inside a band", or 2 with "not canonically
+    # serializable", without naming the option
+    (_UNIFORM + ["--tsamples", "0"], "--tsamples"),
+    (["verify", "parseval", "--n", "4", "--seed", "7", "--grid", "0"], "--grid"),
+    (["tower", "mixedness", "--child", desc("v0.json"), "--parent",
+      desc("v0.json"), "--N", "2", "--starts", "0"], "--starts"),
+])
+def test_out_of_range_integer_options_are_usage_errors(tmp_path, capsys, argv,
+                                                       option):
+    # all but the last three raised an uncaught exception; each bound is now
+    # the option's argparse type, so argparse names the option and exits 2
+    out = tmp_path / "x"
+    assert dispatch(argv + ["--out", str(out)]) == 2
+    assert f": error: argument {option}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_domain_failure_exits_one(tmp_path, capsys):
