@@ -10,10 +10,11 @@ Exit codes: 0 success, 1 domain failure (collapse, non-elliptic energy),
 2 usage failure (bad flags, unknown command, malformed descriptor).
 
 Verb rule: ``build_parser`` declares each leaf verb once, as its options
-and its ``run`` function, and adds ``--jobs`` and ``--out`` to every leaf.
-An integer option's bound is its argparse ``type=``, so a value out of
-range is a usage error naming the option.  A descriptor option parses to
-(path, kinds); ``dispatch`` loads it and checks its kind in one step, runs
+and its ``run`` function; ``--out``, and ``--jobs`` on the spectral and
+``verify`` verbs, are added in one place.  An integer option's bound is
+its argparse ``type=``, so a value out of range is a usage error naming
+the option.  A descriptor option parses to a ``_Desc`` (path, kinds);
+``dispatch`` loads it and checks its kind in one step, runs
 the verb and writes what ``run`` returns (a report dict, the (header,
 rows) of a CSV table, or a descriptor) in one place.  The config echo is
 the parsed options minus ``out``, ``jobs``, ``run`` and the sub-command
@@ -36,11 +37,10 @@ functions that call them.
 from __future__ import annotations
 
 import argparse
-import functools
+import collections
 import json
 import math
 import os
-import shutil
 import sys
 
 import numpy as np
@@ -121,11 +121,16 @@ def _resolve_ancestor(child, parent):
     raise UsageError("parent descriptor is not an ancestor stage of the child")
 
 
+TOWER_STAGE = "tower stage"  # a tower, or a continuum potential's base stage
+
+_Desc = collections.namedtuple("_Desc", "path kinds")
+
+
 def _load(command: str, path: str, kinds):
-    """Load a descriptor option and check that it is one of kinds; no kinds
-    takes a tower stage: a tower, or a continuum potential's base stage."""
+    """Load a descriptor option and check that it is one of kinds, the
+    potential classes or ``(TOWER_STAGE,)``."""
     obj = load_descriptor(path)
-    if not kinds:
+    if kinds == (TOWER_STAGE,):
         from . import solenoid
         if isinstance(obj, ContinuumPotential):
             return solenoid.base_stage(obj)
@@ -140,8 +145,8 @@ def _load(command: str, path: str, kinds):
 
 
 def _descriptor(*kinds):
-    """argparse type of a descriptor path: (path, kinds), for ``_load``."""
-    return lambda path: (path, kinds)
+    """argparse type of a descriptor path: a ``_Desc`` for ``_load``."""
+    return lambda path: _Desc(path, kinds)
 
 
 def _int_from(lo: int):
@@ -443,29 +448,24 @@ def _add_range(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a formatter in every add_argument call, and one made
-    # without a width looks the terminal size up: one lookup serves all
-    fmt = functools.partial(argparse.HelpFormatter,
-                            width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="cocycle-lab",
         description="Periodic cocycle laboratory: spectra, deformations, "
                     "towers, and quantitative growth checks.",
-        formatter_class=fmt,
     )
     parser.add_argument("--version", action="version",
                         version=f"cocycle-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    leaves = []
+    leaves = []  # (parser, whether it takes the no-op --jobs)
 
-    def leaf(subparsers, name, run, **kw):
-        p = subparsers.add_parser(name, formatter_class=fmt, **kw)
+    def leaf(subparsers, name, run, jobs=False, **kw):
+        p = subparsers.add_parser(name, **kw)
         p.set_defaults(run=run)
-        leaves.append(p)
+        leaves.append((p, jobs))
         return p
 
     def group(name, help):
-        p = sub.add_parser(name, help=help, formatter_class=fmt)
+        p = sub.add_parser(name, help=help)
         return p.add_subparsers(dest=f"{name}_command", required=True)
 
     p = leaf(sub, "bands", _run_bands, help="band spectrum as CSV intervals")
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("growth", "transfer-norm growth functional inside bands"),
         ("sweep", "per-energy quantity sweep (cacheable)"),
     ):
-        p = leaf(sub, name, _run_quantity, help=blurb)
+        p = leaf(sub, name, _run_quantity, jobs=True, help=blurb)
         p.add_argument("--potential", required=True, type=_descriptor(*PERIODIC))
         if name == "sweep":
             p.add_argument("--quantity", required=True, choices=QUANTITIES)
@@ -520,26 +520,26 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, run in (("realize-pad", _run_realize_pad),
                       ("realize-mix", _run_realize_mix)):
         q = leaf(tsub, verb, run)
-        q.add_argument("--in", dest="infile", required=True, type=_descriptor())
+        q.add_argument("--in", dest="infile", required=True, type=_descriptor(TOWER_STAGE))
         q.add_argument("--delta", type=float, required=True)
         if verb == "realize-pad":
             q.add_argument("--N", type=int, required=True)
         q.add_argument("--n", type=int, required=True)
         q.add_argument("--eps0", type=float, required=True)
     q = leaf(tsub, "trace", _run_tower_trace)
-    q.add_argument("--in", dest="tower", required=True, type=_descriptor())
+    q.add_argument("--in", dest="tower", required=True, type=_descriptor(TOWER_STAGE))
     q.add_argument("--tmax", type=float, required=True)
     q.add_argument("--samples", type=int, default=1024)
     q = leaf(tsub, "mixedness", _run_mixedness)
-    q.add_argument("--child", required=True, type=_descriptor())
-    q.add_argument("--parent", required=True, type=_descriptor())
+    q.add_argument("--child", required=True, type=_descriptor(TOWER_STAGE))
+    q.add_argument("--parent", required=True, type=_descriptor(TOWER_STAGE))
     q.add_argument("--N", type=int, required=True)
     q.add_argument("--starts", type=_int_from(1), default=1024)
     q.add_argument("--search-grid", type=int, default=0)
 
     vsub = group("verify", "quantitative pipeline checks")
 
-    q = leaf(vsub, "lemma22", _run_lemma22)
+    q = leaf(vsub, "lemma22", _run_lemma22, jobs=True)
     q.add_argument("--potential", required=True,
                    type=_descriptor(ContinuumPotential))
     q.add_argument("--M", type=float, default=6.0)
@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--P", type=_int_from(1), default=None)
     q.add_argument("--kappa", type=float, default=1e-3)
 
-    q = leaf(vsub, "asd12", _run_asd12)
+    q = leaf(vsub, "asd12", _run_asd12, jobs=True)
     q.add_argument("--family", required=True, type=_descriptor(DiscreteFamily))
     q.add_argument("--emin", type=float, required=True)
     q.add_argument("--emax", type=float, required=True)
@@ -563,13 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tpoints", type=_int_from(2), default=24)
     q.add_argument("--C0", type=float, default=4.0)
 
-    q = leaf(vsub, "parseval", _run_parseval)
+    q = leaf(vsub, "parseval", _run_parseval, jobs=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--seed", type=_int_from(0), required=True)
     q.add_argument("--grid", type=_int_from(1), default=2 ** 14)
     q.add_argument("--lam-max", type=float, default=0.3)
 
-    q = leaf(vsub, "b1", _run_b1)
+    q = leaf(vsub, "b1", _run_b1, jobs=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--seed", type=_int_from(0), required=True)
     q.add_argument("--theta", type=float, default=None,
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--s", type=float, default=1e-3)
     q.add_argument("--lam-max", type=float, default=0.3)
 
-    q = leaf(vsub, "spectral-parseval", _run_spectral_parseval)
+    q = leaf(vsub, "spectral-parseval", _run_spectral_parseval, jobs=True)
     q.add_argument("--potential", required=True,
                    type=_descriptor(DiscreteFamily, DiscretePotential))
     q.add_argument("--n", type=int, default=0,
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--order", type=_int_from(1), default=48)
     q.add_argument("--band-order", type=_int_from(1), default=64)
 
-    q = leaf(vsub, "slowdecay", _run_slowdecay)
+    q = leaf(vsub, "slowdecay", _run_slowdecay, jobs=True)
     q.add_argument("--theta0", type=float, default=0.17)
     q.add_argument("--wobble", type=float, default=0.05)
     q.add_argument("--shear", type=float, default=0.1)
@@ -596,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated list of stage counts")
     q.add_argument("--grid", type=int, default=256)
 
-    q = leaf(vsub, "uniform", _run_uniform)
+    q = leaf(vsub, "uniform", _run_uniform, jobs=True)
     q.add_argument("--potential", required=True,
                    type=_descriptor(ContinuumPotential))
     q.add_argument("--level", type=float, required=True)
@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--order", type=_int_from(1), default=24)
     q.add_argument("--tsamples", type=_int_from(1), default=512)
 
-    q = leaf(vsub, "crooked", _run_crooked)
+    q = leaf(vsub, "crooked", _run_crooked, jobs=True)
     q.add_argument("--potential", required=True,
                    type=_descriptor(ContinuumPotential))
     q.add_argument("--eps1", type=float, required=True)
@@ -618,13 +618,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     blurb = ("sup_L and |IDS(M) - integral of the density over the bands "
              "clipped at M|, on the edge-regularized band quadrature")
-    q = leaf(vsub, "good-nice", _run_good_nice, help=blurb, description=blurb)
+    q = leaf(vsub, "good-nice", _run_good_nice, jobs=True, help=blurb,
+             description=blurb)
     q.add_argument("--potential", required=True, type=_descriptor(*PERIODIC))
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--M", type=float, required=True)
     q.add_argument("--per-band", type=_int_from(1), default=32)
 
-    q = leaf(vsub, "wj-model", _run_wj_model)
+    q = leaf(vsub, "wj-model", _run_wj_model, jobs=True)
     q.add_argument("--delta", type=float, required=True)
     q.add_argument("--R", type=float, required=True)
     q.add_argument("--cprime", type=float, required=True)
@@ -634,9 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--C0", type=float, default=2.0)
     q.add_argument("--bins", type=_int_from(1), default=40)
 
-    for p in leaves:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
+    for p, jobs in leaves:
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="accepted for compatibility; has no effect")
         p.add_argument("--out", required=True, help="output file path")
     return parser
 
@@ -658,7 +660,7 @@ def dispatch(argv) -> int:
         names = vars(args)
         command = " ".join(names[d] for d in _VERB_DESTS if d in names)
         for dest, value in list(names.items()):
-            if isinstance(value, tuple):  # a descriptor option, see _descriptor
+            if isinstance(value, _Desc):
                 names[dest] = _load(command, *value)
         _write(args, command, args.run(args))
         return 0
