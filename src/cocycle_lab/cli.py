@@ -520,14 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, run in (("realize-pad", _run_realize_pad),
                       ("realize-mix", _run_realize_mix)):
         q = leaf(tsub, verb, run)
-        q.add_argument("--in", dest="infile", required=True, type=_descriptor(TOWER_STAGE))
+        q.add_argument("--in", dest="infile", required=True,
+                       type=_descriptor(TOWER_STAGE))
         q.add_argument("--delta", type=float, required=True)
         if verb == "realize-pad":
             q.add_argument("--N", type=int, required=True)
         q.add_argument("--n", type=int, required=True)
         q.add_argument("--eps0", type=float, required=True)
     q = leaf(tsub, "trace", _run_tower_trace)
-    q.add_argument("--in", dest="tower", required=True, type=_descriptor(TOWER_STAGE))
+    q.add_argument("--in", dest="tower", required=True,
+                   type=_descriptor(TOWER_STAGE))
     q.add_argument("--tmax", type=float, required=True)
     q.add_argument("--samples", type=int, default=1024)
     q = leaf(tsub, "mixedness", _run_mixedness)
