@@ -4,7 +4,9 @@ One verb per pipeline procedure.  Every output file embeds the resolved
 configuration and the tool version; writes are atomic (temp file plus
 rename); identical invocations produce byte-identical files.  ``--jobs``
 is still accepted for compatibility and has no effect: every command runs
-in one thread.
+in one thread.  OpenBLAS starts with one thread unless
+``OPENBLAS_NUM_THREADS`` is set: BLAS sees at most 17 x 17 matrices here,
+and a second OpenBLAS thread busy-waits from the moment numpy loads.
 
 Exit codes: 0 success, 1 domain failure (collapse, non-elliptic energy),
 2 usage failure (bad flags, unknown command, malformed descriptor).
@@ -31,7 +33,7 @@ Import rule: each process runs one verb, and it compiles every module it
 imports, since the bytecode cache may be off.  So this module imports at
 load only what the spectral verbs need (cocycle, potentials, sl2, util);
 deform, labverify, slowdeform and solenoid are imported inside the run
-functions that call them.
+functions that call them, and expr only where potentials builds its nodes.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ import json
 import math
 import os
 import sys
+
+# set before numpy loads, since OpenBLAS starts its spinning thread then
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -548,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--xi", type=float, default=0.2)
     q.add_argument("--C0", type=float, default=4.0)
     q.add_argument("--delta", type=float, default=0.05)
-    q.add_argument("--grid", type=int, default=2000)
+    q.add_argument("--grid", type=_int_from(1), default=2000)
     q.add_argument("--P", type=_int_from(1), default=None)
     q.add_argument("--kappa", type=float, default=1e-3)
 
@@ -561,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--reps", type=int, default=6)
     q.add_argument("--slide-n", type=int, default=4)
     q.add_argument("--twist-post", type=int, default=3)
-    q.add_argument("--grid", type=int, default=200)
+    q.add_argument("--grid", type=_int_from(1), default=200)
     q.add_argument("--tpoints", type=_int_from(2), default=24)
     q.add_argument("--C0", type=float, default=4.0)
 
@@ -633,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--cprime", type=float, required=True)
     q.add_argument("--P", type=int, required=True)
     q.add_argument("--trials", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--seed", type=_int_from(0), required=True)
     q.add_argument("--C0", type=float, default=2.0)
     q.add_argument("--bins", type=_int_from(1), default=40)
 

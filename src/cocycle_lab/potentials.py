@@ -5,6 +5,7 @@ Continuum potentials are piecewise: named base profiles placed into
 segments separated by exact-zero gaps.  Keeping the gaps structural (not
 just numerically zero) lets padding operators stretch them symbolically
 and lets transfer matrices cross them with closed-form propagators.
+``expr`` is imported only where expression nodes are built.
 """
 
 from __future__ import annotations
@@ -17,21 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, reading, strict_int
-from .expr import (
-    Bump,
-    Const,
-    Cos,
-    FamilyExpr,
-    FConst,
-    FSum,
-    JCos,
-    ScalarExpr,
-    Scale,
-    Sum,
-    TCos,
-    family_from_json,
-    scalar_from_json,
-)
 
 _CONTINUITY_TOL = 1e-9
 
@@ -322,6 +308,9 @@ def potential_from_json(d):
     except (TypeError, KeyError):
         raise ValidationError(f"descriptor needs a 'kind' field: {d!r}")
     with reading(f"{kind} descriptor"):
+        if kind == "discrete-periodic":
+            return DiscretePotential(tuple(float(v) for v in d["values"]))
+        from .expr import family_from_json, scalar_from_json
         if kind == "continuum-periodic":
             bases = {k: scalar_from_json(v) for k, v in d.get("bases", {}).items()}
             segments = tuple(_segment_from_json(s) for s in d["segments"])
@@ -339,8 +328,6 @@ def potential_from_json(d):
                 expr=family_from_json(d["expr"]),
                 n0_exact=Fraction(exact[0], exact[1]) if exact is not None else None,
             )
-        if kind == "discrete-periodic":
-            return DiscretePotential(tuple(float(v) for v in d["values"]))
         if kind == "circle-potential":
             return CirclePotential(strict_int(d["period"], "period"),
                                   scalar_from_json(d["expr"]))
@@ -360,12 +347,14 @@ def free_continuum(period: float = 1.0) -> ContinuumPotential:
 
 
 def free_discrete(period: int = 1) -> DiscreteFamily:
+    from .expr import FSum
     return DiscreteFamily(n0=1.0, n1=period, expr=FSum(()),
                           n0_exact=Fraction(1))
 
 
 def cos_family(lam: float = 0.3, n1: int = 2) -> DiscreteFamily:
     """Smooth two-frequency family: lam (cos t-wave + cos j-wave)."""
+    from .expr import FSum, JCos, TCos
     expr = FSum((
         TCos(amp=lam, period=1.0, harmonic=1),
         JCos(amp=lam, period=n1, harmonic=1),
@@ -375,6 +364,7 @@ def cos_family(lam: float = 0.3, n1: int = 2) -> DiscreteFamily:
 
 def alternating(lam: float = 0.5) -> DiscreteFamily:
     """Values alternate 0, lam along the index; constant in the parameter."""
+    from .expr import FConst, FSum, JCos
     # lam/2 (1 - cos(pi j)) written with serializable nodes
     expr = FSum((
         FConst(0.5 * lam),
@@ -390,6 +380,7 @@ def smooth_bump_potential(period: float = 2.0, height: float = 1.0,
     The bump occupies [0, period - zero_nbhd] and vanishes to all orders
     at both ends, so the potential is smooth on the circle.
     """
+    from .expr import Bump, Scale
     support = period - zero_nbhd
     if support <= 0.0:
         raise ValidationError("zero_nbhd leaves no room for the bump")
@@ -405,6 +396,7 @@ def smooth_bump_potential(period: float = 2.0, height: float = 1.0,
 def cosine_well_potential(period: float = 3.0, height: float = 2.0,
                           zero_nbhd: float = 1.0) -> ContinuumPotential:
     """A raised-cosine well, continuous at the gap, with a trailing gap."""
+    from .expr import Const, Cos, Scale, Sum
     support = period - zero_nbhd
     if support <= 0.0:
         raise ValidationError("zero_nbhd leaves no room for the well")
@@ -423,6 +415,7 @@ def cosine_well_potential(period: float = 3.0, height: float = 2.0,
 
 def circle_cos(period: int = 2, amp: float = 0.4, harmonic: int = 1) -> CirclePotential:
     """amp cos(2 pi harmonic x / period) on a circle of circumference period."""
+    from .expr import Cos, Scale
     return CirclePotential(
         period=period, expr=Scale(amp, Cos(freq=harmonic / period))
     )

@@ -272,6 +272,14 @@ _CROOKED = ["verify", "crooked", "--potential", desc("v0.json"), "--eps1", "0.1"
     (["verify", "lemma22", "--potential", desc("v0.json"), "--P", "-1"], "--P"),
     (["verify", "wj-model", "--delta", "0.02", "--R", "100", "--cprime", "0.2",
       "--P", "12", "--trials", "50", "--seed", "42", "--bins", "0"], "--bins"),
+    # these exited 1 with "no retained energies in the window", "no elliptic
+    # energies on the grid", and 2 with "seed must fit in 64 bits"
+    (["verify", "asd12", "--family", desc("cos2.json"), "--emin", "0.3",
+      "--emax", "0.7", "--grid", "0"], "--grid"),
+    (["verify", "lemma22", "--potential", desc("v0.json"), "--grid", "0"],
+     "--grid"),
+    (["verify", "wj-model", "--delta", "0.02", "--R", "100", "--cprime", "0.2",
+      "--P", "12", "--trials", "50", "--seed", "-1"], "--seed"),
     # these exited 1 with "not inside a band", or 2 with "not canonically
     # serializable", without naming the option
     (_UNIFORM + ["--tsamples", "0"], "--tsamples"),
@@ -407,9 +415,12 @@ def test_import_loads_no_stats_or_thread_pool():
     assert [m for m in added if m.startswith(("scipy.stats", "concurrent"))] == []
 
 
-def _run_python(code):
+def _run_python(code, **env):
+    """Run code in a fresh interpreter on this src; each keyword sets an
+    environment variable, or removes it when None."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=src, **env).items()
+           if v is not None}
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
 
@@ -436,16 +447,25 @@ def test_discrete_verbs_leave_out_numpy_ma(tmp_path):
     assert done.stdout.split() == ["0", "0", "False"]
 
 
+def _discrete_periodic(tmp_path):
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps({"kind": "discrete-periodic",
+                                "values": [0.3, -0.2, 0.7]}))
+    return str(path)
+
+
 def test_verbs_import_only_their_modules(tmp_path):
     # each CLI process compiles what it imports; a verb loads the pipeline
-    # modules it calls and no other.  After each verb the four modules are
+    # modules it calls and no other, and only a descriptor built of
+    # expression nodes loads expr.  After each verb the five modules are
     # unloaded, so every verb starts from the bare CLI
     cos3 = desc("cos3.json")
     spectral = [["bands", "--potential", cos3]]
     spectral += [["sweep", "--potential", cos3, "--quantity", q, "--count", "8",
                   "--samples", "64"] for q in ("ids", "density", "growth")]
     spectral += [["verify", "spectral-parseval", "--potential", cos3]]
-    runs = spectral + [
+    runs = [["bands", "--potential", _discrete_periodic(tmp_path)]]
+    runs += spectral + [
         ["tower", "realize-mix", "--in", desc("v0.json"), "--delta", "0.02",
          "--n", "3", "--eps0", "0.4"],
         ["verify", "asd12", "--family", desc("cos2.json"), "--emin", "0.3",
@@ -455,22 +475,56 @@ def test_verbs_import_only_their_modules(tmp_path):
         argv += ["--out", str(tmp_path / f"out{k}")]
     code = ("import json, sys\n"
             "import cocycle_lab, cocycle_lab.cli as cli\n"
-            "heavy = ('deform', 'labverify', 'slowdeform', 'solenoid')\n"
+            "lazy = ('deform', 'expr', 'labverify', 'slowdeform', 'solenoid')\n"
             "seen = []\n"
             f"for argv in {runs!r}:\n"
             "    rc = cli.dispatch(argv)\n"
-            "    seen.append([rc, [m for m in heavy"
+            "    seen.append([rc, [m for m in lazy"
             " if 'cocycle_lab.' + m in sys.modules]])\n"
-            "    for m in heavy:\n"
+            "    for m in lazy:\n"
             "        sys.modules.pop('cocycle_lab.' + m, None)\n"
             "        vars(cocycle_lab).pop(m, None)\n"
             "print(json.dumps(seen))")
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout)
-    assert seen[:len(spectral)] == [[0, []]] * len(spectral)
-    assert seen[len(spectral):] == [[0, ["deform", "solenoid"]],
-                                    [0, ["deform", "labverify"]]]
+    assert seen[0] == [0, []]
+    assert seen[1:1 + len(spectral)] == [[0, ["expr"]]] * len(spectral)
+    assert seen[1 + len(spectral):] == [[0, ["deform", "expr", "solenoid"]],
+                                        [0, ["deform", "expr", "labverify"]]]
+
+
+def _blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or "openblas" not in str(_blas_name()).lower(),
+                    reason="needs Linux thread listing and an OpenBLAS numpy")
+def test_cli_process_runs_one_blas_thread(tmp_path):
+    # OpenBLAS starts a worker that busy-waits from numpy's import on, though
+    # every BLAS call here is on a matrix of at most 17 x 17; the CLI sets
+    # OPENBLAS_NUM_THREADS=1 before it imports numpy, unless the user set it
+    argv = ["cocycle-lab", "bands", "--potential", _discrete_periodic(tmp_path),
+            "--out", str(tmp_path / "bands.csv")]
+    code = ("import os, runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('cocycle_lab.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, len(os.listdir('/proc/self/task')),"
+            " os.environ.get('OPENBLAS_NUM_THREADS'))")
+    # the pytest process may have set it by importing cli
+    done = _run_python(code, OPENBLAS_NUM_THREADS=None)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1", "1"]
+    done = _run_python(code, OPENBLAS_NUM_THREADS="2")
+    assert done.returncode == 0, done.stderr
+    rc, _, threads = done.stdout.split()
+    assert (rc, threads) == ("0", "2")
 
 
 def test_benchmark_tracer_installs_on_the_cli():
