@@ -272,6 +272,12 @@ _CROOKED = ["verify", "crooked", "--potential", desc("v0.json"), "--eps1", "0.1"
     (["verify", "lemma22", "--potential", desc("v0.json"), "--P", "-1"], "--P"),
     (["verify", "wj-model", "--delta", "0.02", "--R", "100", "--cprime", "0.2",
       "--P", "12", "--trials", "50", "--seed", "42", "--bins", "0"], "--bins"),
+    # these exited 1 with "not inside a band", or 2 with "not canonically
+    # serializable", without naming the option
+    (_UNIFORM + ["--tsamples", "0"], "--tsamples"),
+    (["verify", "parseval", "--n", "4", "--seed", "7", "--grid", "0"], "--grid"),
+    (["tower", "mixedness", "--child", desc("v0.json"), "--parent",
+      desc("v0.json"), "--N", "2", "--starts", "0"], "--starts"),
     # these exited 1 with "no retained energies in the window", "no elliptic
     # energies on the grid", and 2 with "seed must fit in 64 bits"
     (["verify", "asd12", "--family", desc("cos2.json"), "--emin", "0.3",
@@ -280,16 +286,10 @@ _CROOKED = ["verify", "crooked", "--potential", desc("v0.json"), "--eps1", "0.1"
      "--grid"),
     (["verify", "wj-model", "--delta", "0.02", "--R", "100", "--cprime", "0.2",
       "--P", "12", "--trials", "50", "--seed", "-1"], "--seed"),
-    # these exited 1 with "not inside a band", or 2 with "not canonically
-    # serializable", without naming the option
-    (_UNIFORM + ["--tsamples", "0"], "--tsamples"),
-    (["verify", "parseval", "--n", "4", "--seed", "7", "--grid", "0"], "--grid"),
-    (["tower", "mixedness", "--child", desc("v0.json"), "--parent",
-      desc("v0.json"), "--N", "2", "--starts", "0"], "--starts"),
 ])
 def test_out_of_range_integer_options_are_usage_errors(tmp_path, capsys, argv,
                                                        option):
-    # all but the last three raised an uncaught exception; each bound is now
+    # all but the last six raised an uncaught exception; each bound is now
     # the option's argparse type, so argparse names the option and exits 2
     out = tmp_path / "x"
     assert dispatch(argv + ["--out", str(out)]) == 2
