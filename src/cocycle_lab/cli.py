@@ -276,8 +276,6 @@ def _run_bands(args):
 
 def _run_quantity(args):
     system = _spectral_system(args.potential)
-    if args.count < 0:
-        raise ValidationError(f"'--count' must be nonnegative, got {args.count}")
     energies = np.linspace(args.emin, args.emax, args.count)
     memo = DiskMemo()
     # rows from another package version or numerics engine are never served
@@ -498,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.set_defaults(quantity=name)
         _add_range(p)
-        p.add_argument("--count", type=int, default=512,
+        p.add_argument("--count", type=_int_from(0), default=512,
                        help="number of energy samples")
-        p.add_argument("--samples", type=int, default=2048,
+        p.add_argument("--samples", type=_int_from(1), default=2048,
                        help="time samples for the growth functional")
 
     dsub = group("deform", "potential deformation operators")
@@ -542,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--parent", required=True, type=_descriptor(TOWER_STAGE))
     q.add_argument("--N", type=int, required=True)
     q.add_argument("--starts", type=_int_from(1), default=1024)
-    q.add_argument("--search-grid", type=int, default=0)
+    q.add_argument("--search-grid", type=_int_from(0), default=0)
 
     vsub = group("verify", "quantitative pipeline checks")
 

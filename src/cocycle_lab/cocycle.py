@@ -576,7 +576,10 @@ class ContinuumCocycle:
 
 def step_matrices(E, values):
     """Stack of one-site transfer matrices, shape (K, n, 2, 2): the steps
-    site_products applies, as one array."""
+    site_products applies, as one array.
+
+    Oracle for site_products' bits; checked by test_site_products_keep_the_mul2_bits.
+    """
     E = np.asarray(E)
     values = np.asarray(values, dtype=float)
     K = E.shape[0]
@@ -1160,17 +1163,6 @@ def growth_value(system, E: float, t0: float = 0.0, samples: int = 2048) -> Grow
     return GrowthReport(*(float(f[0]) for f in fields))
 
 
-def resonance_gap(theta: float, qmax: int = 50) -> float:
-    """min over 1 <= q <= qmax of dist(q theta, Z)/q: closeness to low rationals."""
-    best = math.inf
-    for q in range(1, qmax + 1):
-        x = q * theta
-        d = abs(x - round(x)) / q
-        if d < best:
-            best = d
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Bloch waves, completeness checks, band norm integrals
 # ---------------------------------------------------------------------------
@@ -1196,6 +1188,8 @@ def bloch_pair(system: DiscreteCocycle, E: float) -> BlochWave:
     The state is scaled so the conserved wedge of the solution with its
     conjugate equals i, which makes completeness integrals come out
     parameter-free.
+
+    Oracle for the Parseval sum; checked by test_parseval_matches_bloch_pair_sum.
     """
     M = system.monodromy(np.array([float(E)]))[0]
     tr = float(M[0, 0] + M[1, 1])

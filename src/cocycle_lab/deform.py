@@ -1,9 +1,10 @@
 """Potential deformation operators.
 
 Continuum side: padding operators stretch the zero stretches of a
-periodic potential by slowly modulated amounts, leaving closed-form
-factorizations of the new monodromy (rotation blocks conjugated by the
-energy frame, interleaved with powers of the original monodromy).
+periodic potential by slowly modulated amounts.  The padded monodromy
+factors into padding blocks (a free propagator over the pad times a power
+of the original monodromy); the closed forms below are test oracles for
+that factorization.
 
 Discrete side: symbolic family operators (repeat, twist, slide,
 sampling) rewrite a family of integer-period potentials; everything
@@ -41,7 +42,6 @@ from .potentials import (
     CirclePotential,
     ContinuumPotential,
     DiscreteFamily,
-    DiscretePotential,
     Gap,
 )
 
@@ -136,8 +136,9 @@ def padding_block(E, pad, MN) -> np.ndarray:
 
 
 def padded_block_matrix(base: ContinuumCocycle, E: float, spec: PaddingSpec,
-                        t: float) -> np.ndarray:
-    """One padding block G(E, t) = [pad rotation at phase t] [M(E)^N]."""
+                        t) -> np.ndarray:
+    """Padding blocks G(E, t) = [pad rotation at phase t] [M(E)^N], shape
+    np.shape(t) + (2, 2): one base monodromy and one power for all phases."""
     if not E > 0.0:
         raise DomainError("padding blocks need E > 0")
     MN = sl2.power2(base.monodromy(E), spec.N)
@@ -146,10 +147,14 @@ def padded_block_matrix(base: ContinuumCocycle, E: float, spec: PaddingSpec,
 
 def padded_monodromy_formula(base: ContinuumCocycle, E: float,
                              spec: PaddingSpec) -> np.ndarray:
-    """Monodromy of the padded potential as the ordered block product."""
+    """Monodromy of the padded potential as the ordered block product.
+
+    Oracle for pad's monodromy; checked by test_pad_monodromy_matches_block_product.
+    """
+    phases = np.arange(2 * spec.n) / (2.0 * spec.n)
     out = np.eye(2)
-    for j in range(2 * spec.n):
-        out = padded_block_matrix(base, E, spec, j / (2.0 * spec.n)) @ out
+    for G in padded_block_matrix(base, E, spec, phases):
+        out = G @ out
     return out
 
 
@@ -175,6 +180,8 @@ def block_trace_formula(E: float, theta: float, lam: float, spec: PaddingSpec,
 
     2 cos(alpha + beta) - (lam - 1/lam)^2 sin(alpha) sin(beta) with
     alpha the pad rotation angle and beta the N-fold base angle.
+
+    Oracle for block traces; checked by test_block_trace_formula_matches_matrix.
     """
     alpha = spec.delta * math.sqrt(E) * math.sin(math.pi * t) ** (2 * spec.N)
     beta = 2.0 * math.pi * spec.N * theta
@@ -215,6 +222,8 @@ def half_turn_fixed_point(base: ContinuumCocycle, E: float, delta: float,
     Solved in the frame where the base monodromy is a rotation: there
     the block is diag(lam, 1/lam)-conjugated rotation times another
     rotation, whose invariant point satisfies an explicit quadratic.
+
+    Oracle for half-turn points; checked by test_half_turn_fixed_point_matches_direct.
     """
     theta, u, lam = frame_data(base, E)
     B = sl2.frames2(np.complex128(u))
@@ -271,15 +280,6 @@ def twist_family(fam: DiscreteFamily, n: int) -> DiscreteFamily:
     )
 
 
-def twist_block_parameters(fam: DiscreteFamily, n: int, t: float) -> np.ndarray:
-    """Parent parameters read by the n blocks of a twisted slice.
-
-    Consecutive blocks differ by n0/n, so every slice of the twist
-    samples the parent family along an arithmetic orbit of that gap.
-    """
-    return t + fam.n0 * np.arange(n) / n
-
-
 def slide_family(fam: DiscreteFamily, delta: float, n: int,
                  bump: BumpProfile = None) -> DiscreteFamily:
     """Triple the index period; the last third slides inside a bump window."""
@@ -328,14 +328,6 @@ def crumble_circle(circ: CirclePotential, n: int) -> CirclePotential:
     )
 
 
-def circle_steps(circ: CirclePotential, offset: float, count: int,
-                 rate: Fraction = Fraction(1)) -> DiscretePotential:
-    """Discrete potential read off a circle at a rational sampling rate."""
-    j = np.arange(count)
-    vals = circ(offset + np.asarray(j, dtype=float) * float(rate))
-    return DiscretePotential(tuple(np.asarray(vals, dtype=float).tolist()))
-
-
 # ---------------------------------------------------------------------------
 # interleaved rotation traces
 # ---------------------------------------------------------------------------
@@ -350,6 +342,8 @@ def interleaved_trace(theta1: float, m1: int, theta2: float, m2: int,
 
         2 cos(2 pi (m1 theta1 + m2 theta2))
         - (lam - 1/lam)^2 sin(2 pi m1 theta1) sin(2 pi m2 theta2).
+
+    Oracle for the slide trace; checked by test_slide_trace_formula.
     """
     lam = math.exp(dist / 2.0)
     p1 = 2.0 * math.pi * m1 * theta1
@@ -364,6 +358,8 @@ def slide_slice_factors(fam: DiscreteFamily, delta: float, n: int, t: float,
 
     The slice concatenates two plain parent periods and one slid period,
     so its monodromy is A[t_slid] A[t_plain]^2.
+
+    Oracle for slide slices; checked by test_slide_plateau_slice_identity.
     """
     bump = bump if bump is not None else BumpProfile()
     tm = math.fmod(t, 2.0 * n * fam.n0)

@@ -645,7 +645,10 @@ def wj_model(spec: RandomModelSpec, C0: float = 2.0, bins: int = 40) -> dict:
 
 
 def wj_tail_check(spec: RandomModelSpec, lengths) -> dict:
-    """Empirical tail frequencies against the model law with 3-sigma bands."""
+    """Empirical tail frequencies against the model law with 3-sigma bands.
+
+    Oracle for the tail law; checked by test_wj_empirical_tail_within_three_sigma.
+    """
     _, w = spec.draw_sums()
     flat = w.reshape(-1)
     rows = []
@@ -928,6 +931,8 @@ def growth_minimax(
     horizon; monodromy powers enter through their exact rotation form, so
     the sup reduces to a lookup of max_s quadratic forms on a fine circle
     grid.  Compared against the closed-form growth functional.
+
+    Oracle for the growth functional; checked by test_minimax_matches_growth_functional.
     """
     if system.kind == "continuum":
         times = system.period * np.arange(t_samples) / t_samples

@@ -18,17 +18,14 @@ invariant points of A_m from i (zero exactly for rotation families).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import sl2
-from .cocycle import ContinuumCocycle
-from .deform import PaddingSpec, padding_block
+from .cocycle import plane_stack, site_products
 from .errors import (
-    DomainError,
     NormalFormBreakdownError,
     ValidationError,
 )
@@ -67,15 +64,6 @@ class SlowFamily:
 # ---------------------------------------------------------------------------
 
 
-def rotation_slow_family(theta_fn: Callable, period: float = 1.0) -> SlowFamily:
-    """Family of exact rotations by theta_fn(t) turns."""
-
-    def fn(t):
-        return sl2.rotation2(np.asarray(theta_fn(t), dtype=float))
-
-    return SlowFamily(fn=fn, period=period)
-
-
 def shear_rotation_family(theta0: float, wobble: float,
                           shear: float) -> SlowFamily:
     """Rotation with a wobbling angle times a wobbling shear.
@@ -97,43 +85,19 @@ def shear_rotation_family(theta0: float, wobble: float,
     return SlowFamily(fn=fn)
 
 
-def padded_block_family(base: ContinuumCocycle, E: float, delta: float,
-                        N: int) -> SlowFamily:
-    """The padding block G(E, t) as a circle family in the block phase t.
-
-    Traversed with alpha = 1/(2n) this is exactly the family whose
-    ordered product is the padded monodromy, so its ladder residuals
-    quantify how slow a padding must be.
-    """
-    if not E > 0.0:
-        raise DomainError("padding blocks need E > 0")
-    MN = sl2.power2(base.monodromy(E), N)
-    # the block count n does not enter a single block
-    spec = PaddingSpec(delta=delta, N=N, n=1)
-
-    def fn(t):
-        return padding_block(E, spec.pad_length(t), MN)
-
-    return SlowFamily(fn=fn)
-
-
 def slice_monodromy_family(fam: DiscreteFamily, E: float) -> SlowFamily:
-    """t -> one-period transfer matrix of the family slice at t."""
+    """t -> one-period transfer matrix of the family slice at t, by
+    cocycle.site_products over all phases at once.
+
+    Oracle for ladder decay on slices; checked by test_slice_family_ladder_decay.
+    """
 
     def fn(t):
-        t = np.asarray(t, dtype=float)
-        j = np.arange(fam.n1, dtype=float)
-        v = np.asarray(fam.expr(t[..., None], j), dtype=float)
-        out = np.zeros(t.shape + (2, 2))
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        step = np.zeros(t.shape + (2, 2))
-        step[..., 0, 1] = -1.0
-        step[..., 1, 0] = 1.0
-        for jj in range(fam.n1):
-            step[..., 0, 0] = E - v[..., jj]
-            out = sl2.mul2(step, out)
-        return out
+        v = np.asarray(fam.expr(t[..., None], np.arange(fam.n1, dtype=float)),
+                       dtype=float)
+        for P in site_products(E, np.moveaxis(v, -1, 0)):
+            pass
+        return plane_stack(P)
 
     return SlowFamily(fn=fn, period=fam.n0)
 
@@ -241,6 +205,24 @@ class NormalFormLadder:
         return int(round(un[-1] - un[0]))
 
 
+def decay_table(family_of_n: Callable, alpha_of_n: Callable, ns, depth: int,
+                grid: int = 256) -> list:
+    """Residual/drift rows for every stage and slowness in the sweep."""
+    rows = []
+    for n in ns:
+        ladder = NormalFormLadder(family_of_n(n), alpha_of_n(n), depth=depth,
+                                  grid=grid)
+        for m in range(1, depth + 1):
+            rows.append({
+                "m": m,
+                "n": int(n),
+                "residual": ladder.residual(m),
+                "B_drift": ladder.frame_drift(m),
+                "theta_drift": ladder.theta_drift(),
+            })
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # scalar recursion (independent route, used to cross-check the ladder)
 # ---------------------------------------------------------------------------
@@ -284,7 +266,10 @@ def stage_matrix(family: SlowFamily, alpha: float, m: int, t: float,
 def slow_product(family: SlowFamily, alpha: float, t0: float,
                  count: int) -> np.ndarray:
     """Ordered product A(t0 + (count-1) alpha) ... A(t0) by sl2.plane_product;
-    a determinant drift of the factors is kept, not renormalized away."""
+    a determinant drift of the factors is kept, not renormalized away.
+
+    Oracle for products along an orbit; checked by test_stage_product_telescopes.
+    """
     if count < 0:
         raise ValidationError("product length must be nonnegative")
     if count == 0:
@@ -295,101 +280,12 @@ def slow_product(family: SlowFamily, alpha: float, t0: float,
 
 def stage_product(family: SlowFamily, alpha: float, m: int, t0: float,
                   count: int) -> np.ndarray:
-    """Ordered product of the stage-m family along the same orbit."""
+    """Ordered product of the stage-m family along the same orbit.
+
+    Oracle for the ladder's telescoping; checked by test_stage_product_telescopes.
+    """
     out = np.eye(2)
     memo = {}
     for k in range(count):
         out = stage_matrix(family, alpha, m, t0 + alpha * k, _memo=memo) @ out
     return out
-
-
-# ---------------------------------------------------------------------------
-# phase statistics and stability
-# ---------------------------------------------------------------------------
-
-
-def tilde_theta_curve(system, e_grid: np.ndarray) -> np.ndarray:
-    """Unwrapped monodromy rotation angle along an energy grid, turns.
-
-    The grid must stay inside the elliptic region; the lift makes the
-    winding across many bands visible, which is what the folded phase
-    statistics below consume.
-    """
-    th = sl2.rotation_angles2(system.monodromy(np.asarray(e_grid, dtype=float)))
-    if not np.all(np.isfinite(th)):
-        raise DomainError("energy grid leaves the elliptic region")
-    return np.unwrap(th, period=1.0)
-
-
-def phase_proxy(theta_tilde: np.ndarray, factor: float) -> np.ndarray:
-    """Rescaled unwrapped angles folded to the unit circle."""
-    return np.mod(factor * np.asarray(theta_tilde, dtype=float), 1.0)
-
-
-def equidistribution_ks(values: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance of a sample in [0,1) from uniform."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValidationError("empty sample")
-    if np.any(values < 0.0) or np.any(values >= 1.0):
-        raise ValidationError("sample must live in [0, 1)")
-    # sup |F_n - F| is attained at a sample, just before or just after a jump
-    x = np.sort(values, axis=None)
-    n = x.size
-    d_plus = np.max(np.arange(1.0, n + 1) / n - x)
-    d_minus = np.max(x - np.arange(0.0, n) / n)
-    return float(max(d_plus, d_minus))
-
-
-def fixed_point_stability(A: np.ndarray, threshold: float = 1e-3) -> float:
-    """Condition estimate (a float) for the invariant point u of an
-    elliptic (2, 2) array A, from sl2.invariant_point.
-
-    exp(d(u, i)) / |sin(2 pi theta)|: an sl2-size perturbation epsilon
-    moves u by at most about this factor times epsilon.  Requires the
-    rotation angle theta of A to clear the threshold, since the invariant
-    point degenerates as the angle approaches 0 or 1/2.
-    """
-    u = sl2.invariant_point(A)
-    theta = float(sl2.rotation_angles2(A, u))
-    s = abs(math.sin(2.0 * math.pi * theta))
-    if s <= threshold:
-        raise DomainError(
-            f"rotation angle too close to parabolic: |sin| = {s!r}"
-        )
-    return math.exp(float(sl2.hyp_dist2(u, 1j))) / s
-
-
-def minimal_n(family_of_n: Callable, alpha_of_n: Callable, m: int,
-              target: float, *, n_start: int = 4, n_cap: int = 1024,
-              grid: int = 256) -> tuple:
-    """Smallest doubling n whose stage-m residual beats the target."""
-    n = n_start
-    while n <= n_cap:
-        ladder = NormalFormLadder(family_of_n(n), alpha_of_n(n), depth=m,
-                                  grid=grid)
-        res = ladder.residual(m)
-        if res < target:
-            return n, res
-        n *= 2
-    raise NormalFormBreakdownError(
-        "minimal-n", f"residual target {target} unreachable below n = {n_cap}"
-    )
-
-
-def decay_table(family_of_n: Callable, alpha_of_n: Callable, ns, depth: int,
-                grid: int = 256) -> list:
-    """Residual/drift rows for every stage and slowness in the sweep."""
-    rows = []
-    for n in ns:
-        ladder = NormalFormLadder(family_of_n(n), alpha_of_n(n), depth=depth,
-                                  grid=grid)
-        for m in range(1, depth + 1):
-            rows.append({
-                "m": m,
-                "n": int(n),
-                "residual": ladder.residual(m),
-                "B_drift": ladder.frame_drift(m),
-                "theta_drift": ladder.theta_drift(),
-            })
-    return rows

@@ -162,12 +162,6 @@ class TowerStage:
                 f"flow period {total!r} disagrees with the declared {self.period!r}"
             )
 
-    def rho_norm(self) -> float:
-        """Sup of |log weight| contributed by this stage's own windows."""
-        if not self.windows:
-            return 0.0
-        return max(w.depth for w in self.windows)
-
     def to_json(self):
         """Tower descriptor of this stage and its parent chain."""
         return tower_to_json(self)
@@ -194,19 +188,6 @@ def base_stage(pot: ContinuumPotential) -> TowerStage:
         arc_length=pot.period,
         period=pot.period,
         potential=pot,
-    )
-
-
-def pure_cover(stage: TowerStage, multiplicity: int) -> TowerStage:
-    """Cyclic cover with no weight change."""
-    return TowerStage(
-        depth=stage.depth + 1,
-        multiplicity=multiplicity,
-        arc_length=multiplicity * stage.arc_length,
-        period=multiplicity * stage.period,
-        windows=(),
-        parent=stage,
-        meta={"kind": "pure-cover"},
     )
 
 
@@ -333,12 +314,6 @@ class TimeMap:
     def position_at(self, tau) -> np.ndarray:
         tm = np.mod(np.asarray(tau, dtype=float), self.total)
         return np.interp(tm, self.taus, self.xs)
-
-
-def flow_time(stage: TowerStage, x: float, t: float):
-    """Position after flowing for time t from arc point x."""
-    tm = stage.time_map
-    return tm.position_at(tm.time_at(x) + np.asarray(t, dtype=float))
 
 
 def potential_trace(stage: TowerStage, t_max: float, samples: int):
@@ -527,7 +502,10 @@ def _in_chain(child: TowerStage, parent: TowerStage) -> bool:
 
 def lift_closeness(child: TowerStage, parent: TowerStage,
                    grid: int = 4096) -> LiftCloseness:
-    """Sup gaps between the child and the exact lift of its ancestor."""
+    """Sup gaps between the child and the exact lift of its ancestor.
+
+    Oracle for the closeness of covers; checked by test_padding_closeness_bounds.
+    """
     if not _in_chain(child, parent):
         raise ProjectionError("stages do not sit in one covering chain")
     xs = child.arc_length * np.arange(grid) / grid
@@ -691,6 +669,8 @@ def discrete_tower_step(F: DiscreteFamily, a_prev, n_twist: int):
 
     Returns (sampled family, a_next, report) with a_next = a_prev +
     n0/(n_twist n1) held as an exact rational.
+
+    Oracle for tower closeness; checked by test_discrete_step_closeness_decreases.
     """
     if F.n0_exact is None:
         raise DomainError("tower steps need an exact parameter period")

@@ -38,7 +38,6 @@ from cocycle_lab.cocycle import (
     growth_values,
     ids,
     lyapunov,
-    resonance_gap,
     spectral_parseval,
     uniformness_check,
 )
@@ -60,6 +59,8 @@ from cocycle_lab.potentials import (
     free_discrete,
     smooth_bump_potential,
 )
+
+from resonance import resonance_gap
 
 
 def free_cocycle(T=2.0):

@@ -42,6 +42,8 @@ from cocycle_lab.potentials import (
     smooth_bump_potential,
 )
 
+from resonance import resonance_gap
+
 DESCRIPTORS = os.path.join(os.path.dirname(__file__), "..", "descriptors")
 
 
@@ -517,7 +519,7 @@ def band_energies_without_resonance(system, e_max, count):
             if abs(float(sl2.tr2(mono)[0])) >= 2.0 - 1e-6:
                 continue
             theta = float(sl2.rotation_angles2(mono)[0])
-            if cyc.resonance_gap(theta, 50) >= 1e-4:
+            if resonance_gap(theta, 50) >= 1e-4:
                 picked.append(float(e))
     return picked[:count]
 

@@ -4,43 +4,36 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from cocycle_lab import sl2
 from cocycle_lab.cocycle import ContinuumCocycle, DiscreteCocycle
-from cocycle_lab.deform import PaddingSpec, padded_block_matrix, padded_monodromy_formula
-from cocycle_lab.errors import (
-    DomainError,
-    NormalFormBreakdownError,
-    ValidationError,
+from cocycle_lab.deform import (
+    PaddingSpec,
+    pad,
+    padded_block_matrix,
+    padded_monodromy_formula,
 )
-from cocycle_lab.potentials import cos_family, free_continuum, smooth_bump_potential
+from cocycle_lab.errors import NormalFormBreakdownError, ValidationError
+from cocycle_lab.potentials import cos_family, smooth_bump_potential
 from cocycle_lab.slowdeform import (
     NormalFormLadder,
     SlowFamily,
     decay_table,
-    equidistribution_ks,
-    fixed_point_stability,
     frame_stage,
-    minimal_n,
-    padded_block_family,
-    phase_proxy,
-    rotation_slow_family,
     shear_rotation_family,
     slice_monodromy_family,
     slow_product,
     stage_matrix,
     stage_product,
-    tilde_theta_curve,
 )
 
 
-def wobble_theta(t):
-    return 0.2 + 0.1 * np.sin(2.0 * np.pi * np.asarray(t))
+def wobble_rotations(t):
+    return sl2.rotation2(0.2 + 0.1 * np.sin(2.0 * np.pi * t))
 
 
 def test_rotation_family_is_a_fixed_point_of_the_ladder():
-    fam = rotation_slow_family(wobble_theta)
+    fam = SlowFamily(wobble_rotations)
     ladder = NormalFormLadder(fam, alpha=1.0 / 17.0, depth=3, grid=128)
     for m in (1, 2, 3):
         assert ladder.residual(m) < 1e-12
@@ -50,7 +43,7 @@ def test_rotation_family_is_a_fixed_point_of_the_ladder():
 
 
 def test_ladder_needs_elliptic_family():
-    fam = rotation_slow_family(lambda t: np.asarray(t))  # hits angle 0
+    fam = SlowFamily(sl2.rotation2)  # hits angle 0
     with pytest.raises(NormalFormBreakdownError):
         NormalFormLadder(fam, alpha=0.01, depth=1, grid=64)
 
@@ -64,7 +57,7 @@ def test_family_shape_validation():
 def test_ellipticity_margin():
     fam = shear_rotation_family(0.17, 0.05, 0.1)
     assert fam.ellipticity_margin(grid=128) > 0.1
-    degen = rotation_slow_family(lambda t: np.zeros_like(np.asarray(t)) + 1e-15)
+    degen = SlowFamily(lambda t: sl2.rotation2(np.zeros_like(t) + 1e-15))
     assert degen.ellipticity_margin(grid=16) < 1e-12
 
 
@@ -129,16 +122,15 @@ def test_slow_product_keeps_determinant_drift():
 def test_padded_block_family_matches_deform():
     pot = smooth_bump_potential(period=2.0, height=1.0, zero_nbhd=0.5)
     base = ContinuumCocycle(pot)
-    E, delta, N = 2.0, 0.3, 2
-    fam = padded_block_family(base, E, delta, N)
-    spec = PaddingSpec(delta=delta, N=N, n=3)
+    E, spec = 2.0, PaddingSpec(delta=0.3, N=2, n=3)
+    fam = SlowFamily(lambda t: padded_block_matrix(base, E, spec, t))
     for t in np.linspace(0.0, 1.0, 7):
         want = padded_block_matrix(base, E, spec, float(t))
-        assert np.allclose(fam(np.array([t]))[0], want, atol=1e-12)
+        np.testing.assert_array_equal(fam(np.array([t]))[0], want)
     # traversing the family slowly reproduces the padded monodromy
-    n = 3
-    got = slow_product(fam, 1.0 / (2 * n), 0.0, 2 * n)
+    got = slow_product(fam, 1.0 / (2 * spec.n), 0.0, 2 * spec.n)
     assert np.allclose(got, padded_monodromy_formula(base, E, spec), atol=1e-10)
+    assert np.allclose(got, ContinuumCocycle(pad(pot, spec)).monodromy(E), atol=1e-9)
 
 
 def test_slice_monodromy_family_matches_cocycle():
@@ -148,7 +140,7 @@ def test_slice_monodromy_family_matches_cocycle():
     assert sf.period == pytest.approx(fam.n0)
     for t in np.linspace(0.0, 1.0, 6):
         want = DiscreteCocycle.from_family(fam, float(t)).monodromy(E)
-        assert np.allclose(sf(np.array([t]))[0], want, atol=1e-12)
+        np.testing.assert_array_equal(sf(np.array([t]))[0], want)
 
 
 def test_slice_family_ladder_decay():
@@ -178,80 +170,9 @@ def test_frame_drift_positive_for_nonconstant_family():
 
 
 def test_winding_of_elliptic_family_is_zero():
-    fam = rotation_slow_family(wobble_theta)
+    fam = SlowFamily(wobble_rotations)
     ladder = NormalFormLadder(fam, alpha=1.0 / 17.0, depth=1, grid=64)
     assert ladder.winding(0) == 0
-
-
-def test_tilde_theta_curve_free_potential():
-    base = ContinuumCocycle(free_continuum())
-    # stay inside one elliptic stretch and compare to sqrt(E)/2 winding
-    e = np.linspace(1.0, 9.0, 512)
-    # free monodromy trace 2 cos(sqrt(E)); elliptic except isolated points
-    th = tilde_theta_curve(base, e)
-    want = np.sqrt(e) / (2.0 * np.pi)  # free rotation angle in turns
-    lift = th - th[0]
-    assert np.allclose(lift, want - want[0], atol=1e-6)
-    with pytest.raises(DomainError):
-        tilde_theta_curve(base, np.array([-5.0]))
-
-
-def test_phase_proxy_and_ks():
-    rng = np.random.default_rng(3)
-    u = rng.uniform(0.0, 1.0, 4000)
-    assert equidistribution_ks(u) < 0.03
-    assert equidistribution_ks(u * u) > 0.2
-    with pytest.raises(ValidationError):
-        equidistribution_ks(np.array([1.5]))
-    for sample in (rng.uniform(0.0, 1.0, 250), u[:7] ** 3, np.array([0.5])):
-        assert equidistribution_ks(sample) == stats.kstest(sample, "uniform").statistic
-    with pytest.raises(ValidationError):
-        equidistribution_ks(np.array([]))
-
-
-def test_folded_free_phase_equidistributes():
-    base = ContinuumCocycle(free_continuum())
-    e = np.linspace(1.0, 9.0, 4096)
-    th = tilde_theta_curve(base, e)
-    ks = equidistribution_ks(phase_proxy(th, 48.0))
-    assert ks < 0.1
-
-
-def test_fixed_point_stability_bound():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        x, y = rng.uniform(-1, 1), rng.uniform(0.3, 2.5)
-        theta = rng.uniform(0.05, 0.45)
-        B = np.array([[1.0, -x], [0.0, y]]) / math.sqrt(y)  # sends x + iy to i
-        A = np.linalg.inv(B) @ sl2.rotation2(theta) @ B
-        kappa = fixed_point_stability(A)
-        assert isinstance(kappa, float)
-        eps = 1e-6
-        X = np.array([[0.4, 0.8], [0.3, -0.4]])
-        P = np.eye(2) + eps * X
-        P /= math.sqrt(abs(np.linalg.det(P)))
-        moved = sl2.hyp_dist2(sl2.invariant_point(P @ A), complex(x, y))
-        assert moved <= 10.0 * kappa * eps
-
-
-def test_fixed_point_stability_near_parabolic():
-    A = sl2.rotation2(1e-5)
-    # rotation about i with tiny angle: the invariant point is fine here,
-    # but the conditioning threshold must reject it
-    with pytest.raises(DomainError):
-        fixed_point_stability(A, threshold=1e-3)
-
-
-def test_minimal_n_finds_doubling():
-    fam = shear_rotation_family(0.17, 0.05, 0.1)
-    ref = NormalFormLadder(fam, alpha=1.0 / 64, depth=2, grid=128).residual(2)
-    n, res = minimal_n(lambda n: fam, lambda n: 1.0 / n, 2, ref * 1.5,
-                       n_start=8, n_cap=256, grid=128)
-    assert n <= 64
-    assert res < ref * 1.5
-    with pytest.raises(NormalFormBreakdownError):
-        minimal_n(lambda n: fam, lambda n: 1.0 / n, 1, 1e-30,
-                  n_start=8, n_cap=32, grid=64)
 
 
 def test_decay_table_rows():

@@ -20,6 +20,12 @@ def bump_pot():
                                             zero_nbhd=0.5)
 
 
+def flow(stage, x, t):
+    """Position after flowing for time t from arc point x."""
+    tm = stage.time_map
+    return tm.position_at(tm.time_at(x) + np.asarray(t, dtype=float))
+
+
 def padding_child(spec=None, eps0=0.4):
     spec = spec or deform.PaddingSpec(delta=0.3, N=2, n=2)
     stage = sol.base_stage(bump_pot())
@@ -67,7 +73,7 @@ def test_ramp_profile_plateau_and_edges():
 def test_unit_stage_flow_is_rotation():
     stage = sol.base_stage(bump_pot())
     x = np.array([0.0, 0.3, 1.9])
-    got = sol.flow_time(stage, 0.3, 5.25)
+    got = flow(stage, 0.3, 5.25)
     assert abs(float(got) - np.mod(0.3 + 5.25, 2.0)) < 1e-12
     times, vals = sol.potential_trace(stage, 4.0, 257)
     assert np.max(np.abs(vals - stage.potential(times))) < 1e-12
@@ -83,7 +89,7 @@ def test_constant_double_speed_stage():
                         potential=pot)
     stage.check_invariants()
     assert abs(stage.time_map.total - 1.0) < 1e-12
-    assert abs(float(sol.flow_time(stage, 0.1, 0.4)) - 0.9) < 1e-10
+    assert abs(float(flow(stage, 0.1, 0.4)) - 0.9) < 1e-10
 
 
 def test_flow_additivity_random():
@@ -92,8 +98,8 @@ def test_flow_additivity_random():
     for _ in range(25):
         x = rng.uniform(0.0, child.arc_length)
         t1, t2 = rng.uniform(0.0, 2.0 * child.period, 2)
-        one = sol.flow_time(child, float(sol.flow_time(child, x, t1)), t2)
-        two = sol.flow_time(child, x, t1 + t2)
+        one = flow(child, float(flow(child, x, t1)), t2)
+        two = flow(child, x, t1 + t2)
         assert abs(float(one) - float(two)) < 1e-9
 
 
@@ -149,8 +155,11 @@ def test_padding_structure_and_weight_bound():
     assert child.multiplicity == 2 * spec.N * spec.n
     assert len(child.windows) == 2 * spec.n - 1
     bound = spec.delta / 0.4 + 1e-9
-    assert 0.0 < child.rho_norm() <= bound
-    assert child.meta["rho_norm"] == child.rho_norm()
+    # the root carries no weight, so the sup of |log w| is the child's own
+    rho = child.meta["rho_norm"]
+    assert 0.0 < rho <= bound
+    xs = np.linspace(0.0, child.arc_length, 4097)
+    assert np.max(np.abs(child.log_w(xs))) == rho
     child.check_invariants()
 
 
@@ -192,9 +201,13 @@ def test_padding_preconditions():
 
 
 def test_pure_cover_and_trivial_closeness():
+    # a mixing stage without pads is the pure cover: the exact lift
     stage = sol.base_stage(bump_pot())
-    cover = sol.pure_cover(stage, 3)
-    assert cover.arc_length == 6.0 and cover.period == 6.0
+    cover = sol.realize_mixing(stage, 0.0, 3, 0.4)
+    assert cover.arc_length == 12.0 and cover.period == 12.0
+    xs = np.linspace(0.0, cover.arc_length, 1001)
+    np.testing.assert_array_equal(cover.log_w(xs), np.zeros(xs.shape))
+    np.testing.assert_array_equal(cover.v(xs), stage.v(np.mod(xs, 2.0)))
     rep = sol.lift_closeness(cover, stage)
     assert rep.flow_gap == 0.0 and rep.sample_gap == 0.0
     rep_self = sol.lift_closeness(stage, stage)
@@ -264,8 +277,8 @@ def test_mixedness_projection_identity_on_witness_set():
     tm = child.time_map
     for idx in hits[:5]:
         x0 = float(tm.position_at(tm.total * idx / 512))
-        x1 = float(sol.flow_time(child, x0, t))
-        shadow = sol.flow_time(stage, x0 % stage.arc_length,
+        x1 = float(flow(child, x0, t))
+        shadow = flow(stage, x0 % stage.arc_length,
                                t - lags[idx] * stage.period)
         gap = abs(float(shadow) - x1 % stage.arc_length)
         assert min(gap, stage.arc_length - gap) < 1e-6
@@ -279,7 +292,7 @@ def test_trivial_cover_passes_level_one():
 
 def test_pure_cover_fails_level_two():
     stage = sol.base_stage(bump_pot())
-    cover = sol.pure_cover(stage, 4)
+    cover = sol.realize_mixing(stage, 0.0, 2, 0.4)
     report = sol.mixedness_check(cover, stage, 2, starts=256, search_grid=64)
     assert not report.passed
     assert any(r.v_measure == 0.0 for r in report.per_j)
@@ -301,8 +314,8 @@ def test_two_level_tower_nested_windows():
     for _ in range(10):
         x = rng.uniform(0.0, top.arc_length)
         t1, t2 = rng.uniform(0.0, top.period, 2)
-        one = sol.flow_time(top, float(sol.flow_time(top, x, t1)), t2)
-        two = sol.flow_time(top, x, t1 + t2)
+        one = flow(top, float(flow(top, x, t1)), t2)
+        two = flow(top, x, t1 + t2)
         assert abs(float(one) - float(two)) < 1e-9
 
 
