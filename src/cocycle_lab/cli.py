@@ -237,11 +237,13 @@ def _write(args, command: str, result) -> None:
 QUANTITIES = ("trace", "ids", "lyapunov", "density", "growth")
 
 
-def _quantity_rows(system, quantity, energies, samples):
-    """(energy, value) rows over the energy grid, with no band scan.
-    Density and growth are defined strictly inside bands only, so other
-    energies get no row: density's is nan there, and growth takes the
-    energies with |trace| < 2 - sl2.ELLIPTIC_MARGIN."""
+def _quantity_rows(system, args, energies):
+    """(energy, value) rows of args.quantity over the energy grid, with no
+    band scan.  Density and growth are defined strictly inside bands only,
+    so other energies get no row: density's is nan there, and growth takes
+    the energies with |trace| < 2 - sl2.ELLIPTIC_MARGIN.  Only growth reads
+    args.samples, which only the growth and sweep verbs declare."""
+    quantity = args.quantity
     if quantity == "trace":
         values = system.trace(energies)
     elif quantity == "ids":
@@ -254,7 +256,7 @@ def _quantity_rows(system, quantity, energies, samples):
     else:
         energies = energies[np.abs(system.trace(energies))
                             < 2.0 - sl2.ELLIPTIC_MARGIN]
-        values = cyc.growth_values(system, energies, samples=samples)[0]
+        values = cyc.growth_values(system, energies, samples=args.samples)[0]
     return [(float(e), float(v)) for e, v in zip(energies, values)]
 
 
@@ -285,7 +287,7 @@ def _run_quantity(args):
     if cached is not None:
         rows = [tuple(r) for r in cached]
     else:
-        rows = _quantity_rows(system, args.quantity, energies, args.samples)
+        rows = _quantity_rows(system, args, energies)
         memo.put(key, [list(r) for r in rows])
     return ("E", "value"), rows
 
@@ -298,7 +300,8 @@ def _run_pad(args):
 
 def _run_pad_simple(args):
     from . import deform
-    return deform.pad_simple(args.infile, args.delta, args.n)
+    return deform.pad(args.infile, deform.UniformPadding(delta=args.delta,
+                                                         n=args.n))
 
 
 def _run_repeat(args):
@@ -328,8 +331,9 @@ def _run_realize_pad(args):
 
 
 def _run_realize_mix(args):
-    from . import solenoid
-    return solenoid.realize_mixing(args.infile, args.delta, args.n, args.eps0)
+    from . import deform, solenoid
+    spec = deform.UniformPadding(delta=args.delta, n=args.n)
+    return solenoid.realize_padding(args.infile, spec, args.eps0)
 
 
 def _run_tower_trace(args):
@@ -498,8 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_range(p)
         p.add_argument("--count", type=_int_from(0), default=512,
                        help="number of energy samples")
-        p.add_argument("--samples", type=_int_from(1), default=2048,
-                       help="time samples for the growth functional")
+        if name in ("growth", "sweep"):
+            p.add_argument("--samples", type=_int_from(1), default=2048,
+                           help="time samples for the growth functional")
 
     dsub = group("deform", "potential deformation operators")
     for verb, run, kind in (

@@ -1,10 +1,13 @@
 """Potential deformation operators.
 
-Continuum side: padding operators stretch the zero stretches of a
-periodic potential by slowly modulated amounts.  The padded monodromy
-factors into padding blocks (a free propagator over the pad times a power
-of the original monodromy); the closed forms below are test oracles for
-that factorization.
+Continuum side: one padding operator, ``pad``, stretches the zero
+stretches of a periodic potential in two layouts.  A ``PaddingSpec`` pads
+block j of 2n blocks of N periods by delta sin^(2N)(pi j / 2n) (the growth
+cascade); a ``UniformPadding`` pads the last n of 2n periods by delta (the
+mixing stages of towers).  The padded monodromy factors into padding
+blocks (a free propagator over the pad times a power of the original
+monodromy); ``block_products`` is their running product, and the closed
+forms below are test oracles for that factorization.
 
 Discrete side: symbolic family operators (repeat, twist, slide,
 sampling) rewrite a family of integer-period potentials; everything
@@ -82,8 +85,34 @@ class PaddingSpec:
         return 2 * self.N * self.n * T + float(np.sum(self.pad_lengths()))
 
 
-def pad(pot: ContinuumPotential, spec: PaddingSpec) -> ContinuumPotential:
-    """Modulated padding: 2n blocks of N periods, slowly growing pads."""
+@dataclass(frozen=True)
+class UniformPadding:
+    """Parameters of the uniform padding operator: 2n copies of one
+    period; the last n are each followed by a zero stretch of length delta.
+    """
+
+    delta: float
+    n: int
+    N = 1  # one period per block; a class constant, not a field
+
+    def __post_init__(self):
+        if self.delta < 0.0:
+            raise ValidationError("padding length must be nonnegative")
+        if self.n < 1:
+            raise ValidationError("copy count must be positive")
+
+    def pad_lengths(self) -> np.ndarray:
+        """n zeros, then n copies of delta."""
+        return np.repeat([0.0, self.delta], self.n)
+
+    def new_period(self, T: float) -> float:
+        return 2 * self.n * T + self.n * self.delta
+
+
+def pad(pot: ContinuumPotential,
+        spec: PaddingSpec | UniformPadding) -> ContinuumPotential:
+    """Padding: 2n blocks of N periods, block j followed by a zero stretch
+    of spec.pad_lengths()[j] (none where it is 0)."""
     if pot.zero_nbhd <= 0.0:
         raise ValidationError("padding needs a potential with a zero stretch")
     pads = spec.pad_lengths()
@@ -101,29 +130,6 @@ def pad(pot: ContinuumPotential, spec: PaddingSpec) -> ContinuumPotential:
     )
 
 
-def pad_simple(pot: ContinuumPotential, delta: float, n: int) -> ContinuumPotential:
-    """Uniform padding: n plain copies, then n copies each padded by delta."""
-    if pot.zero_nbhd <= 0.0:
-        raise ValidationError("padding needs a potential with a zero stretch")
-    if delta < 0.0:
-        raise ValidationError("padding length must be nonnegative")
-    if n < 1:
-        raise ValidationError("copy count must be positive")
-    segments = []
-    for _ in range(n):
-        segments.extend(pot.segments)
-    for _ in range(n):
-        segments.extend(pot.segments)
-        if delta > 0.0:
-            segments.append(Gap(delta))
-    return ContinuumPotential(
-        period=2 * n * pot.period + n * delta,
-        segments=tuple(segments),
-        bases=dict(pot.bases),
-        zero_nbhd=pot.zero_nbhd + (delta if delta > 0.0 else 0.0),
-    )
-
-
 def padding_block(E, pad, MN) -> np.ndarray:
     """Padding block [free propagator over the pad] . MN, shape (..., 2, 2).
 
@@ -133,6 +139,18 @@ def padding_block(E, pad, MN) -> np.ndarray:
     if np.ndim(pad) == 0 and pad == 0.0:
         return MN
     return sl2.mul2(free_block(E, pad), MN)
+
+
+def block_products(E, pads, MN):
+    """Yield (block, product) for each pad in order: padding_block(E, pad,
+    MN) and the running product of the blocks so far, that block leftmost,
+    scaled back to determinant one after every factor."""
+    acc = np.empty(np.shape(MN))
+    acc[:] = np.eye(2)
+    for pad in pads:
+        block = padding_block(E, pad, MN)
+        acc = sl2.renorm2(sl2.mul2(block, acc))
+        yield block, acc
 
 
 def padded_block_matrix(base: ContinuumCocycle, E: float, spec: PaddingSpec,

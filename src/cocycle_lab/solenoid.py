@@ -4,9 +4,10 @@ A stage is a circle with a positive time-change density and a sampled
 potential.  Covers multiply the circumference; each realization step
 installs a nonpositive log-weight supported inside zero windows of the
 potential, calibrated by root finding so the traversal time of each
-window hits a prescribed target.  The central contract: the time-domain
-potential read off a realized stage must reproduce the matching
-symbolic deformation operator.
+window hits a prescribed target.  ``realize_padding`` makes both kinds
+of stage: padding stages from a ``PaddingSpec`` and mixing stages from a
+``UniformPadding``.  The central contract: the time-domain potential read
+off a realized stage must reproduce ``deform.pad`` with the same spec.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import util
-from .deform import PaddingSpec, sampling_family, twist_family
+from .deform import PaddingSpec, UniformPadding, sampling_family, twist_family
 from .errors import (
     DomainError,
     ProjectionError,
@@ -391,13 +392,14 @@ def _calibrate_window(parent: TowerStage, start: float, length: float,
     )
 
 
-def realize_padding(stage: TowerStage, spec: PaddingSpec,
+def realize_padding(stage: TowerStage, spec: PaddingSpec | UniformPadding,
                     eps0: float) -> TowerStage:
-    """Cover stage whose flow trace is the modulated padding of the parent.
+    """Cover stage whose flow trace is the padding of the parent.
 
-    2 N n copies; the trailing zero window of the last copy of each
-    N-block is slowed so its traversal time becomes eps0 plus the pad
-    length of that block.
+    2 N n copies; the trailing zero window of the last copy of block j is
+    slowed so its traversal time becomes eps0 plus the block's pad length.
+    A PaddingSpec makes a padding stage; a UniformPadding makes a mixing
+    stage, n plain copies followed by n copies padded by delta.
     """
     _require_trailing_zero(stage, eps0)
     if not spec.delta < eps0:
@@ -410,8 +412,7 @@ def realize_padding(stage: TowerStage, spec: PaddingSpec,
         extra = float(pads[j])
         if extra == 0.0:
             continue
-        copy = (j + 1) * spec.N - 1
-        start = (copy + 1) * Lp - eps0
+        start = (j + 1) * spec.N * Lp - eps0
         depth, beta = _calibrate_window(
             stage, start, eps0, extra, bound, min(0.05, extra / 4.0)
         )
@@ -422,56 +423,12 @@ def realize_padding(stage: TowerStage, spec: PaddingSpec,
         depth=stage.depth + 1,
         multiplicity=mult,
         arc_length=mult * Lp,
-        period=mult * stage.period + float(np.sum(pads)),
+        period=spec.new_period(stage.period),
         windows=tuple(windows),
         parent=stage,
         meta={
-            "kind": "padding",
-            "delta": spec.delta,
-            "N": spec.N,
-            "n": spec.n,
-            "eps0": eps0,
-            "rho_norm": max((w.depth for w in windows), default=0.0),
-        },
-    )
-    child.check_invariants()
-    return child
-
-
-def realize_mixing(stage: TowerStage, delta: float, n: int,
-                   eps0: float) -> TowerStage:
-    """2n-cover with equal slowdowns on the second half of the copies.
-
-    The flow trace is the uniform padding: n plain copies followed by n
-    copies whose zero window takes eps0 + delta.
-    """
-    _require_trailing_zero(stage, eps0)
-    if n < 1:
-        raise ValidationError("copy count must be positive")
-    if not 0.0 <= delta < eps0:
-        raise ValidationError("pad increment must be smaller than the window")
-    Lp = stage.arc_length
-    bound = (delta / eps0 + 1e-9) if delta > 0.0 else 1e-9
-    windows = []
-    if delta > 0.0:
-        for c in range(n, 2 * n):
-            start = (c + 1) * Lp - eps0
-            depth, beta = _calibrate_window(
-                stage, start, eps0, delta, bound, min(0.05, delta / 4.0)
-            )
-            windows.append(Window(start=start, length=eps0, depth=depth,
-                                  beta=beta, extra_time=delta, block=c - n))
-    child = TowerStage(
-        depth=stage.depth + 1,
-        multiplicity=2 * n,
-        arc_length=2 * n * Lp,
-        period=2 * n * stage.period + n * delta,
-        windows=tuple(windows),
-        parent=stage,
-        meta={
-            "kind": "mixing",
-            "delta": delta,
-            "n": n,
+            "kind": "mixing" if isinstance(spec, UniformPadding) else "padding",
+            **asdict(spec),
             "eps0": eps0,
             "rho_norm": max((w.depth for w in windows), default=0.0),
         },

@@ -765,7 +765,7 @@ def test_sweeps_make_no_band_scan(tmp_path, monkeypatch, quantity, name):
 
 def _v0_rows(tmp_path, verb):
     out = tmp_path / "v0.csv"
-    assert dispatch(verb + ["--potential", desc("v0.json"), "--samples", "64",
+    assert dispatch(verb + ["--potential", desc("v0.json"),
                             "--out", str(out)]) == 0
     return [[float(x) for x in ln.split(",")]
             for ln in read(str(out)).splitlines()[2:]]
@@ -781,7 +781,8 @@ def test_ids_sweep_reads_the_band_at_emax(tmp_path):
     assert v == cyc.ids(system, 12.0)
 
 
-@pytest.mark.parametrize("verb", [["density"], ["sweep", "--quantity", "growth"]])
+@pytest.mark.parametrize("verb", [
+    ["density"], ["sweep", "--quantity", "growth", "--samples", "64"]])
 def test_in_band_emax_gets_a_row(tmp_path, verb):
     # the scanned band ended at emax, and E < hi left the top energy out
     system = cli._spectral_system(load_descriptor(desc("v0.json")))

@@ -17,13 +17,14 @@ from cocycle_lab.cocycle import (
 )
 from cocycle_lab.deform import (
     PaddingSpec,
+    UniformPadding,
+    block_products,
     block_trace_formula,
     crumble_circle,
     frame_data,
     half_turn_fixed_point,
     interleaved_trace,
     pad,
-    pad_simple,
     padded_block_matrix,
     padded_monodromy_formula,
     padding_block,
@@ -96,6 +97,10 @@ def test_padding_spec_validation():
         PaddingSpec(delta=-0.1, N=1, n=1)
     with pytest.raises(ValidationError):
         PaddingSpec(delta=0.1, N=0, n=1)
+    with pytest.raises(ValidationError):
+        UniformPadding(delta=-0.1, n=1)
+    with pytest.raises(ValidationError):
+        UniformPadding(delta=0.1, n=0)
 
 
 def test_pad_requires_zero_stretch():
@@ -128,15 +133,23 @@ def test_pad_pointwise_values():
     assert padded.zero_nbhd == pytest.approx(pot.zero_nbhd + pads[-1])
 
 
-def test_pad_monodromy_matches_block_product():
+@pytest.mark.parametrize("spec", [PaddingSpec(delta=0.3, N=2, n=2),
+                                  UniformPadding(delta=0.25, n=3)],
+                         ids=["modulated", "uniform"])
+def test_pad_monodromy_matches_block_product(spec):
+    # the cascade's running product (deform.block_products) against the
+    # engine's monodromy of the padded potential, in both layouts
     pot = bump_pot()
     base = ContinuumCocycle(pot)
-    spec = PaddingSpec(delta=0.3, N=2, n=2)
     padded = ContinuumCocycle(pad(pot, spec))
     E = 2.0
     direct = padded.monodromy(E)
-    formula = padded_monodromy_formula(base, E, spec)
-    assert np.allclose(direct, formula, atol=1e-9)
+    MN = sl2.power2(base.monodromy(E), spec.N)
+    *_, (_, product) = block_products(E, spec.pad_lengths(), MN)
+    assert np.allclose(product, direct, atol=1e-9)
+    if isinstance(spec, PaddingSpec):
+        formula = padded_monodromy_formula(base, E, spec)
+        assert np.allclose(direct, formula, atol=1e-9)
 
 
 def test_pad_zero_delta_is_pure_power():
@@ -153,7 +166,7 @@ def test_pad_simple_monodromy_identity():
     pot = bump_pot()
     base = ContinuumCocycle(pot)
     delta, n = 0.25, 3
-    padded = ContinuumCocycle(pad_simple(pot, delta, n))
+    padded = ContinuumCocycle(pad(pot, UniformPadding(delta, n)))
     E = 2.0
     M = base.monodromy(E)
     A_delta = gap_propagator(E, delta) @ M

@@ -148,6 +148,22 @@ def test_cascade_report_is_deterministic():
         json.dumps(rep2.to_json(), sort_keys=True)
 
 
+def test_cascade_past_the_first_step():
+    # three padding steps with nonzero pads on v0: every later step runs
+    # the block product on monodromies that earlier steps padded
+    pot = load_descriptor(os.path.join(DESCRIPTORS, "v0.json"))
+    rep = run_lemma22(pot, energy_grid=100, P=3).validate()
+    assert len(rep.steps) == 3
+    A = cyc.ContinuumCocycle(pot).monodromy(rep.energies)
+    initial = int(np.sum(np.abs(sl2.tr2(A)) < 2.0 - 1e-9))
+    excluded = sum(step["excluded_count"] for step in rep.steps)
+    assert excluded == initial - int(rep.retained.sum())
+    assert np.all(np.isfinite(rep.averages[rep.retained]))
+    again = run_lemma22(pot, energy_grid=100, P=3)
+    assert json.dumps(rep.to_json(), sort_keys=True) == \
+        json.dumps(again.to_json(), sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # composite twist / repeat / slide pipeline
 # ---------------------------------------------------------------------------

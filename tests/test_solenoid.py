@@ -26,6 +26,10 @@ def flow(stage, x, t):
     return tm.position_at(tm.time_at(x) + np.asarray(t, dtype=float))
 
 
+def mixing_child(stage, delta, n, eps0):
+    return sol.realize_padding(stage, deform.UniformPadding(delta, n), eps0)
+
+
 def padding_child(spec=None, eps0=0.4):
     spec = spec or deform.PaddingSpec(delta=0.3, N=2, n=2)
     stage = sol.base_stage(bump_pot())
@@ -203,7 +207,7 @@ def test_padding_preconditions():
 def test_pure_cover_and_trivial_closeness():
     # a mixing stage without pads is the pure cover: the exact lift
     stage = sol.base_stage(bump_pot())
-    cover = sol.realize_mixing(stage, 0.0, 3, 0.4)
+    cover = mixing_child(stage, 0.0, 3, 0.4)
     assert cover.arc_length == 12.0 and cover.period == 12.0
     xs = np.linspace(0.0, cover.arc_length, 1001)
     np.testing.assert_array_equal(cover.log_w(xs), np.zeros(xs.shape))
@@ -238,17 +242,20 @@ def test_unrelated_stages_raise():
 
 def test_mixing_trace_matches_pad_simple():
     stage = sol.base_stage(bump_pot())
-    child = sol.realize_mixing(stage, delta=0.25, n=3, eps0=0.4)
-    padded = deform.pad_simple(bump_pot(), 0.25, 3)
+    child = mixing_child(stage, 0.25, 3, 0.4)
+    padded = deform.pad(bump_pot(), deform.UniformPadding(0.25, 3))
     assert child.multiplicity == 6
     assert abs(child.period - padded.period) < 1e-8
+    # windows sit after the padded copies, labelled by their block index
+    assert [w.block for w in child.windows] == [3, 4, 5]
+    assert child.meta["kind"] == "mixing" and "N" not in child.meta
     times, vals = sol.potential_trace(child, child.period, 4096)
     assert np.max(np.abs(vals - padded(times))) < 1e-6
 
 
 def test_mixing_zero_delta_is_pure_cover():
     stage = sol.base_stage(bump_pot())
-    child = sol.realize_mixing(stage, delta=0.0, n=2, eps0=0.4)
+    child = mixing_child(stage, 0.0, 2, 0.4)
     assert len(child.windows) == 0
     assert child.period == 4 * stage.period
     rep = sol.lift_closeness(child, stage)
@@ -257,7 +264,7 @@ def test_mixing_zero_delta_is_pure_cover():
 
 def test_mixedness_of_mixing_stage():
     stage = sol.base_stage(bump_pot())
-    child = sol.realize_mixing(stage, delta=0.25, n=32, eps0=0.4)
+    child = mixing_child(stage, 0.25, 32, 0.4)
     report = sol.mixedness_check(child, stage, 4)
     assert report.passed
     for rec in report.per_j:
@@ -268,7 +275,7 @@ def test_mixedness_of_mixing_stage():
 
 def test_mixedness_projection_identity_on_witness_set():
     stage = sol.base_stage(bump_pot())
-    child = sol.realize_mixing(stage, delta=0.25, n=32, eps0=0.4)
+    child = mixing_child(stage, 0.25, 32, 0.4)
     j, big_n = 2, 4
     t = sol.witness_time(stage.period, 0.25, big_n, j)
     lags = sol.displacement_profile(child, stage, t, starts=512)
@@ -292,7 +299,7 @@ def test_trivial_cover_passes_level_one():
 
 def test_pure_cover_fails_level_two():
     stage = sol.base_stage(bump_pot())
-    cover = sol.realize_mixing(stage, 0.0, 2, 0.4)
+    cover = mixing_child(stage, 0.0, 2, 0.4)
     report = sol.mixedness_check(cover, stage, 2, starts=256, search_grid=64)
     assert not report.passed
     assert any(r.v_measure == 0.0 for r in report.per_j)
@@ -305,7 +312,7 @@ def test_two_level_tower_nested_windows():
     stage = sol.base_stage(bump_pot())
     mid = sol.realize_padding(stage, deform.PaddingSpec(delta=0.1, N=1, n=2),
                               0.4)
-    top = sol.realize_mixing(mid, delta=0.05, n=2, eps0=0.3)
+    top = mixing_child(mid, 0.05, 2, 0.3)
     top.check_invariants()
     rep = sol.lift_closeness(top, stage)
     assert rep.sample_gap == 0.0
