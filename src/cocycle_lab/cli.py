@@ -17,8 +17,8 @@ and its ``run`` function; ``--out``, and ``--jobs`` on the spectral and
 its argparse ``type=``, so a value out of range is a usage error naming
 the option.  A descriptor option parses to a ``_Desc`` (path, kinds);
 ``dispatch`` loads it and checks its kind in one step, runs
-the verb and writes what ``run`` returns (a report dict, the (header,
-rows) of a CSV table, or a descriptor) in one place.  The config echo is
+the verb and writes what ``run`` returns (a report, the (header, rows)
+of a CSV table, or a descriptor) in one place.  The config echo is
 the parsed options minus ``out``, ``jobs``, ``run`` and the sub-command
 names, each loaded descriptor echoed as ``<dest>_sha1`` of its canonical
 JSON.  ``verify b1`` adds the theta, lambdas and betas it draws, and the
@@ -60,7 +60,7 @@ from .potentials import (
     DiscreteFamily,
     DiscretePotential,
 )
-from .util import DiskMemo, atomic_write_text, canonical_json, sha1_hex
+from .util import DiskMemo, atomic_write_text, canonical_json, plain, sha1_hex
 
 # ---------------------------------------------------------------------------
 # descriptor IO
@@ -212,21 +212,23 @@ def _echo(args) -> dict:
 
 
 def _write(args, command: str, result) -> None:
-    """The one writer: a descriptor as itself, a report dict as JSON and
-    (header, rows) as CSV, both under the version and config echo."""
-    if not isinstance(result, (dict, tuple)):
+    """The one writer: a descriptor (anything with a ``to_json``) as itself,
+    (header, rows) as CSV cells of ``_fmt``, and any other result, a report
+    dict or dataclass, as JSON by ``util.plain`` (an undefined statistic is
+    null); CSV and report under the version and config echo."""
+    if hasattr(result, "to_json"):
         save_descriptor(result, args.out)
         return
     config = {"command": command, "params": _echo(args)}
-    if isinstance(result, dict):
-        text = canonical_json({"version": __version__, "config": config,
-                               "report": result})
-    else:
+    if isinstance(result, tuple):
         header, rows = result
         lines = [f"# cocycle-lab {__version__} {canonical_json(config)}",
                  ",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines)
+    else:
+        text = canonical_json({"version": __version__, "config": config,
+                               "report": plain(result)})
     atomic_write_text(args.out, text + "\n")
 
 
@@ -347,7 +349,7 @@ def _run_mixedness(args):
     parent = _resolve_ancestor(args.child, args.parent)
     return solenoid.mixedness_check(args.child, parent, args.N,
                                     starts=args.starts,
-                                    search_grid=args.search_grid).to_json()
+                                    search_grid=args.search_grid)
 
 
 def _run_lemma22(args):
@@ -355,7 +357,7 @@ def _run_lemma22(args):
     return labverify.run_lemma22(
         args.potential, args.M, args.xi, args.C0, args.delta, args.grid,
         P=args.P, kappa=args.kappa,
-    ).to_json()
+    )
 
 
 def _run_asd12(args):
@@ -418,7 +420,7 @@ def _run_uniform(args):
     bandset = cyc.band_spectrum(system, args.emin, args.emax, grid=args.grid)
     return cyc.uniformness_check(system, bandset, args.level, scan=args.scan,
                                  order=args.order,
-                                 t_samples=args.tsamples).to_json()
+                                 t_samples=args.tsamples)
 
 
 def _run_crooked(args):

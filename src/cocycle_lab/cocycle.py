@@ -119,6 +119,8 @@ _CHUNK = 256
 _BLOCK_STEPS = 3 * 2 ** 14
 # complex x with |x| below this take a quadratic series in place of libm
 _SMALL_X = 1e-10
+# imaginary step of the complex-step trace derivative
+_COMPLEX_STEP = 1e-100
 
 
 def __getattr__(name):
@@ -397,12 +399,12 @@ def _trace(self, E):
         out[0] if scalar else out)
 
 
-def _trace_derivative(self, E, h: float = 1e-100):
+def _trace_derivative(self, E):
     """d(trace)/dE by complex step: both cocycles are entire in E, so
-    Im tr(E + ih) / h is the derivative to rounding, with no subtraction."""
+    Im tr(E + ih) / h, h = _COMPLEX_STEP, is the derivative to rounding."""
     Earr, scalar = _as_batch(E)
-    tr = self.trace(Earr.astype(complex) + 1j * h)
-    out = np.imag(tr) / h
+    tr = self.trace(Earr.astype(complex) + 1j * _COMPLEX_STEP)
+    out = np.imag(tr) / _COMPLEX_STEP
     return float(out[0]) if scalar else out
 
 
@@ -716,18 +718,6 @@ class BandSet:
 
     def __len__(self):
         return len(self.bands)
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "period": self.period,
-            "e_min": self.e_min,
-            "e_max": self.e_max,
-            "bands": [
-                {"lo": b.lo, "hi": b.hi, "lo_sign": b.lo_sign, "hi_sign": b.hi_sign}
-                for b in self.bands
-            ],
-        }
 
 
 def _sign_changes(u):
@@ -1282,14 +1272,6 @@ class UniformnessReport:
     band_deficits: tuple
     total_deficit: float
     total_mass: float
-
-    def to_json(self):
-        return {
-            "level": self.level,
-            "band_deficits": list(self.band_deficits),
-            "total_deficit": self.total_deficit,
-            "total_mass": self.total_mass,
-        }
 
 
 def uniformness_check(system, bandset: BandSet, level: float, *,

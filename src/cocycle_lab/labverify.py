@@ -4,8 +4,9 @@ Each entry point reruns one quantitative construction at laboratory size:
 the padding cascade over an energy grid, the twist/repeat/slide composite
 for discrete families, a random surrogate for the accumulated growth sums,
 rotation-sandwich norm identities, and threshold metrics for growth and
-spectral quality.  Reports are plain dicts (or small dataclasses with a
-``to_json``) so the command line layer can serialize them canonically.
+spectral quality.  Reports are values, dicts or dataclasses of numbers
+and arrays with nan for an undefined statistic; ``util.plain`` encodes
+every report for the command line, writing nan as null.
 
 Everything here is deterministic given its inputs; stochastic routines
 take an explicit seed and use a counter-based generator.
@@ -54,11 +55,6 @@ _SAFE_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 # ---------------------------------------------------------------------------
 
 
-def _finite_or_none(values):
-    """JSON cells for a per-energy column: None marks undefined entries."""
-    return [float(x) if math.isfinite(x) else None for x in np.asarray(values)]
-
-
 def _dist_to_int(x):
     """Distance from x to the nearest integer, elementwise."""
     x = np.asarray(x, dtype=float)
@@ -77,12 +73,6 @@ def _orbit_max_gap(theta, count):
     inner = np.diff(orbit, axis=1).max(axis=1) if count > 1 else np.ones(len(theta))
     wrap = 1.0 - orbit[:, -1] + orbit[:, 0]
     return np.maximum(inner, wrap)
-
-
-def _batch_eye(count):
-    out = np.empty((count, 2, 2))
-    out[:] = _I2
-    return out
 
 
 def _dist_to_base(u):
@@ -104,6 +94,7 @@ class Lemma22Report:
     base point (NaN where the energy was excluded along the way).
     """
 
+    kind = "padding-cascade-report"
     delta: float
     xi: float
     C0: float
@@ -137,37 +128,23 @@ class Lemma22Report:
                 raise ValidationError("averages not finite on retained set")
         return self
 
-    def to_json(self):
-        return {
-            "kind": "padding-cascade-report",
-            "delta": self.delta,
-            "xi": self.xi,
-            "C0": self.C0,
-            "M": self.M,
-            "P": self.P,
-            "kappa": self.kappa,
-            "grid": self.grid,
-            "measure_band": self.measure_band,
-            "c_step0": self.c_step0,
-            "cprime_fit": self.cprime_fit,
-            "retained_fraction": self.retained_fraction,
-            "sup_ge_C0_fraction": self.sup_ge_C0_fraction,
-            "max_average_gain": self.max_average_gain,
-            "steps": self.steps,
-            "averages": _finite_or_none(self.averages),
-            "base_averages": _finite_or_none(self.base_averages),
-            "energies": [float(x) for x in np.asarray(self.energies)],
-            "retained": [bool(x) for x in np.asarray(self.retained)],
-        }
+
+# a dense orbit leaves no circular gap of _DENSE_GAP turns
+_DENSE_GAP = 0.01
+_DENSE_QUOTA = 0.99  # least fraction of dense rows at the chosen block count
+_GAMMA_LEVELS = (0.1, 0.2, 0.25, 0.4)  # growth-event levels
+_FRAC_SAMPLES = 8  # fractions of the base period sampled for the averages
+_AVG_BLOCKS = 64  # blocks kept per step for the averages
 
 
-def _choose_block_count(theta, start, cap, fill=0.01, quota=0.99):
+def _choose_block_count(theta, start, cap):
     """Smallest power-of-two multiple of `start` whose rotation orbits are
-    `fill`-dense for at least a `quota` fraction of the rows."""
+    dense (gaps below _DENSE_GAP) for at least a _DENSE_QUOTA fraction of
+    the rows."""
     count = start
     while True:
         gaps = _orbit_max_gap(theta, count)
-        if np.mean(gaps < fill) >= quota or count >= cap:
+        if np.mean(gaps < _DENSE_GAP) >= _DENSE_QUOTA or count >= cap:
             return count
         count *= 2
 
@@ -215,7 +192,7 @@ def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
         base_u = np.where(alive, u, 1j)
         dmax = np.zeros(count)
         kept = {}
-        acc = _batch_eye(count)
+        acc = np.broadcast_to(_I2, (count, 2, 2))
         for m, (_, product) in enumerate(deform.block_products(E, pads, apow)):
             if keep_stride and m % keep_stride == 0:
                 kept[m] = acc
@@ -273,9 +250,6 @@ def run_lemma22(
     n_start: int = 256,
     n_cap: int = 4096,
     pad_cap: int = 4096,
-    gamma_levels=(0.1, 0.2, 0.25, 0.4),
-    frac_samples: int = 8,
-    avg_blocks: int = 64,
 ) -> Lemma22Report:
     """Iterated padding cascade on raw monodromies over an energy grid.
 
@@ -296,7 +270,7 @@ def run_lemma22(
     system = cyc.ContinuumCocycle(pot)
     period0 = system.period
     energies = M * (np.arange(energy_grid) + 0.5) / energy_grid
-    frac = (np.arange(frac_samples) + 0.5) / frac_samples
+    frac = (np.arange(_FRAC_SAMPLES) + 0.5) / _FRAC_SAMPLES
     prefix_frac, A = system._grid_and_monodromy(energies, frac * period0)
     elliptic = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
     if not np.any(elliptic):
@@ -305,9 +279,9 @@ def run_lemma22(
     u = np.where(elliptic, sl2.fixed_points2(A), 1j)
 
     base_avg = np.zeros(energy_grid)
-    for f in range(frac_samples):
+    for f in range(_FRAC_SAMPLES):
         base_avg += _dist_to_base(sl2.moebius2(prefix_frac[:, f], u))
-    base_avg /= frac_samples
+    base_avg /= _FRAC_SAMPLES
     base_avg = np.where(elliptic, base_avg, np.nan)
     c_step0 = float(np.nanmax(base_avg))
 
@@ -323,7 +297,7 @@ def run_lemma22(
         big_n = _choose_block_count(theta[alive], n_start, n_cap)
         if delta > 0:
             dense = np.zeros(energy_grid, dtype=bool)
-            dense[alive] = _orbit_max_gap(theta[alive], big_n) < 0.01
+            dense[alive] = _orbit_max_gap(theta[alive], big_n) < _DENSE_GAP
         else:
             dense = alive.copy()
         sub = slice(None, None, 8)
@@ -331,7 +305,7 @@ def run_lemma22(
             energies[alive][sub], A[alive][sub], u[alive][sub],
             delta, big_n, kappa, pad_cap,
         ) if delta > 0 else 2
-        stride = max(1, (2 * n) // avg_blocks)
+        stride = max(1, (2 * n) // _AVG_BLOCKS)
         a_next, u_next, ok, epsilon, kept = _padding_step(
             energies, A, u, delta, big_n, n, kappa, keep_stride=stride
         )
@@ -346,7 +320,7 @@ def run_lemma22(
         )
         kbar = float(np.median(scaled)) if scaled.size else float("nan")
         events = {}
-        for level in gamma_levels:
+        for level in _GAMMA_LEVELS:
             if delta > 0 and np.isfinite(kbar) and kbar > 0:
                 threshold = 6.0 * kbar * delta / (math.pi * level)
                 frac_ev = float(np.mean(epsilon[ok] >= threshold)) if ok.any() else 0.0
@@ -524,7 +498,7 @@ def run_asd12(
     blocks_kept = block_norms[:, :, retained]
     bad = int(np.sum(blocks_kept < tau))
     total = blocks_kept.size
-    report = {
+    return {
         "kind": "composite-deformation-report",
         "delta": delta,
         "twist_pre": twist_pre,
@@ -542,17 +516,16 @@ def run_asd12(
         "resonant_fraction": float(np.mean(resonance)),
         "predicted_resonant": 2.0 * delta,
         "c1_closeness": float(np.nanmax(c1_close[retained])),
-        "inf_sup_log_norm": _finite_or_none(inf_sup),
+        "inf_sup_log_norm": inf_sup,
         "min_inf_sup": float(np.min(inf_sup[retained])),
         "avg_dist_max": float(np.nanmax(avg_dist[retained])),
         "c_meas": c_meas,
         "tau": tau,
         "bad_fraction": bad / total if total else 0.0,
         "certificate_bound": C0 ** -0.5,
-        "retained": [bool(x) for x in retained],
-        "energies": [float(x) for x in energies],
+        "retained": retained,
+        "energies": energies,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +610,7 @@ def wj_model(spec: RandomModelSpec, C0: float = 2.0, bins: int = 40) -> dict:
         "C0": C0,
         "mean_sum": float(np.mean(sums)),
         "p_below_C0": float(np.mean(sums < C0)),
-        "histogram": {
-            "edges": [float(x) for x in edges],
-            "counts": [int(c) for c in counts],
-        },
+        "histogram": {"edges": edges, "counts": counts},
     }
 
 
@@ -916,15 +886,14 @@ def good_nice_metrics(
 # ---------------------------------------------------------------------------
 
 
-def growth_minimax(
-    system,
-    E: float,
-    *,
-    directions: int = 720,
-    horizon: int = 5000,
-    t_samples: int = 64,
-    psi_grid: int = 4096,
-) -> dict:
+# growth_minimax's directions, periods, times per period and circle grid
+_MINIMAX_DIRECTIONS = 720
+_MINIMAX_HORIZON = 5000
+_MINIMAX_TIMES = 64
+_MINIMAX_PSI = 4096
+
+
+def growth_minimax(system, E: float) -> dict:
     """Brute-force inf over directions of sup over times of transfer norms.
 
     Expands times as s + k T with s on a one-period grid and k below the
@@ -935,7 +904,7 @@ def growth_minimax(
     Oracle for the growth functional; checked by test_minimax_matches_growth_functional.
     """
     if system.kind == "continuum":
-        times = system.period * np.arange(t_samples) / t_samples
+        times = system.period * np.arange(_MINIMAX_TIMES) / _MINIMAX_TIMES
     else:
         times = np.arange(system.sites)
     pref, mono = system._grid_and_monodromy(np.asarray([float(E)]), times)
@@ -948,21 +917,21 @@ def growth_minimax(
     theta = float(sl2.rotation_angles2(mono)[0])
     lead = sl2.mul2(pref, np.broadcast_to(frame_inv, pref.shape))
     gram = np.einsum("sij,sik->sjk", lead, lead)
-    psi = 2.0 * np.pi * np.arange(psi_grid) / psi_grid
+    psi = 2.0 * np.pi * np.arange(_MINIMAX_PSI) / _MINIMAX_PSI
     cs = np.stack([np.cos(psi), np.sin(psi)])
     quad = np.einsum("ip,sij,jp->sp", cs, gram, cs)
     h_max = np.sqrt(np.max(quad, axis=0))
-    phases = np.mod(np.arange(horizon, dtype=float) * theta, 1.0)
+    phases = np.mod(np.arange(_MINIMAX_HORIZON, dtype=float) * theta, 1.0)
     best = np.inf
     arg_best = 0.0
-    for phi_w in (np.arange(directions) + 0.5) / directions * 0.5:
+    for phi_w in (np.arange(_MINIMAX_DIRECTIONS) + 0.5) / _MINIMAX_DIRECTIONS * 0.5:
         w = np.array([math.cos(2.0 * math.pi * phi_w), math.sin(2.0 * math.pi * phi_w)])
         v = frame @ w
         scale = math.hypot(v[0], v[1])
         ang = math.atan2(v[1], v[0])
         idx = np.mod(
-            np.round((ang + 2.0 * np.pi * phases) / (2.0 * np.pi) * psi_grid).astype(int),
-            psi_grid,
+            np.round((ang + 2.0 * np.pi * phases) / (2.0 * np.pi) * _MINIMAX_PSI).astype(int),
+            _MINIMAX_PSI,
         )
         sup_norm = scale * float(np.max(h_max[idx]))
         if sup_norm < best:
@@ -973,8 +942,6 @@ def growth_minimax(
     return {
         "kind": "minimax-growth-report",
         "E": float(E),
-        "directions": directions,
-        "horizon": horizon,
         "oracle": float(best),
         "functional": float(rep.value),
         "rel_gap": float(rel),

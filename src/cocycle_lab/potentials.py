@@ -20,6 +20,10 @@ import numpy as np
 from .errors import ValidationError, reading, strict_int
 
 _CONTINUITY_TOL = 1e-9
+_SUP_SAMPLES = 4096  # grid of ContinuumPotential.sup_norm_estimate
+# random (t, j) probes of DiscreteFamily.check_periodicity and their tolerance
+_PERIODICITY_SAMPLES = 32
+_PERIODICITY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +160,8 @@ class ContinuumPotential:
             out[mask] = self.bases[seg.base](seg.shift + seg.timescale * local)
         return float(out[0]) if scalar else out
 
-    def sup_norm_estimate(self, samples: int = 4096) -> float:
-        grid = np.linspace(0.0, self.period, samples, endpoint=False)
+    def sup_norm_estimate(self) -> float:
+        grid = np.linspace(0.0, self.period, _SUP_SAMPLES, endpoint=False)
         return float(np.max(np.abs(self(grid))))
 
     def to_json(self):
@@ -245,21 +249,16 @@ class DiscreteFamily:
         vals = np.asarray(self.expr(float(t), j), dtype=float)
         return DiscretePotential(tuple(vals.tolist()))
 
-    def check_periodicity(self, samples: int = 32, tol: float = 1e-9) -> None:
+    def check_periodicity(self) -> None:
         rng = np.random.default_rng(7)
-        t = rng.uniform(0.0, self.n0, samples)
-        j = rng.integers(0, max(4 * self.n1, 8), samples)
+        t = rng.uniform(0.0, self.n0, _PERIODICITY_SAMPLES)
+        j = rng.integers(0, max(4 * self.n1, 8), _PERIODICITY_SAMPLES)
         base = self.expr(t, j)
-        if not np.allclose(base, self.expr(t + self.n0, j), atol=tol, rtol=0.0):
+        tol = dict(atol=_PERIODICITY_TOL, rtol=0.0)
+        if not np.allclose(base, self.expr(t + self.n0, j), **tol):
             raise ValidationError("family is not periodic in the parameter")
-        if not np.allclose(base, self.expr(t, j + self.n1), atol=tol, rtol=0.0):
+        if not np.allclose(base, self.expr(t, j + self.n1), **tol):
             raise ValidationError("family is not periodic in the index")
-
-    def sup_norm_estimate(self, samples: int = 64) -> float:
-        t = np.linspace(0.0, self.n0, samples, endpoint=False)
-        j = np.arange(self.n1)
-        vals = self.expr(t[:, None], j[None, :])
-        return float(np.max(np.abs(vals)))
 
     def to_json(self):
         d = {

@@ -32,7 +32,9 @@ from .errors import (
 from .expr import smooth_ramp
 from .potentials import ContinuumPotential, DiscreteFamily, potential_from_json
 
-_NODES = 513  # per-window quadrature nodes; shared by calibration and playback
+# grid and tolerance of TowerStage.check_invariants, grid of lift_closeness
+_CHECK_GRID = 4096
+_PERIOD_TOL = 1e-6
 
 
 def ramp_profile(s, beta: float):
@@ -53,9 +55,6 @@ class Window:
     beta: float
     extra_time: float
     block: int
-
-    def to_json(self):
-        return asdict(self)
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
@@ -153,12 +152,12 @@ class TowerStage:
     def time_map(self) -> "TimeMap":
         return TimeMap(self)
 
-    def check_invariants(self, grid: int = 4096, tol: float = 1e-6):
-        xs = self.arc_length * np.arange(grid) / grid
+    def check_invariants(self):
+        xs = self.arc_length * np.arange(_CHECK_GRID) / _CHECK_GRID
         if not np.all(self.w(xs) > 0.0):
             raise ValidationError("time-change density must stay positive")
         total = self.time_map.total
-        if abs(total - self.period) > tol:
+        if abs(total - self.period) > _PERIOD_TOL:
             raise ValidationError(
                 f"flow period {total!r} disagrees with the declared {self.period!r}"
             )
@@ -173,7 +172,7 @@ class TowerStage:
             "multiplicity": self.multiplicity,
             "arc_length": self.arc_length,
             "period": self.period,
-            "windows": [w.to_json() for w in self.windows],
+            "windows": [asdict(w) for w in self.windows],
             "meta": dict(self.meta),
         }
         if self.parent is None:
@@ -457,15 +456,14 @@ def _in_chain(child: TowerStage, parent: TowerStage) -> bool:
     return False
 
 
-def lift_closeness(child: TowerStage, parent: TowerStage,
-                   grid: int = 4096) -> LiftCloseness:
+def lift_closeness(child: TowerStage, parent: TowerStage) -> LiftCloseness:
     """Sup gaps between the child and the exact lift of its ancestor.
 
     Oracle for the closeness of covers; checked by test_padding_closeness_bounds.
     """
     if not _in_chain(child, parent):
         raise ProjectionError("stages do not sit in one covering chain")
-    xs = child.arc_length * np.arange(grid) / grid
+    xs = child.arc_length * np.arange(_CHECK_GRID) / _CHECK_GRID
     proj = np.mod(xs, parent.arc_length)
     flow_gap = float(np.max(np.abs(child.log_w(xs) - parent.log_w(proj))))
     sample_gap = float(np.max(np.abs(child.v(xs) - parent.v(proj))))
@@ -532,8 +530,8 @@ class WitnessReport:
     t: float
     u_measure: float
     v_measure: float
-    u_arc: tuple
-    v_arc: tuple
+    u_arc: tuple | None  # longest arc of in-phase starts, None when empty
+    v_arc: tuple | None  # longest arc of shifted starts, None when empty
     ok: bool
 
 
@@ -543,29 +541,11 @@ class MixednessReport:
     passed: bool
     per_j: tuple
 
-    def to_json(self):
-        return {
-            "N": self.N,
-            "passed": self.passed,
-            "per_j": [
-                {
-                    "j": r.j,
-                    "t": r.t,
-                    "u_measure": r.u_measure,
-                    "v_measure": r.v_measure,
-                    "u_arc": list(r.u_arc) if r.u_arc else None,
-                    "v_arc": list(r.v_arc) if r.v_arc else None,
-                    "ok": r.ok,
-                }
-                for r in self.per_j
-            ],
-        }
-
 
 def _witness_at(child, parent, N, j, t, starts):
     lag = displacement_profile(child, parent, t, starts=starts)
-    u_mask = _circ_dist(lag, 0.0) < 1.0 / N
-    v_mask = _circ_dist(lag, j / N) < 1.0 / N
+    u_mask = _circ_dist(lag, 0.0) < 0.5 / N
+    v_mask = _circ_dist(lag, j / N) < 0.5 / N
     total = child.time_map.total
     u_measure = float(np.mean(u_mask))
     v_measure = float(np.mean(v_mask))
@@ -574,8 +554,8 @@ def _witness_at(child, parent, N, j, t, starts):
         t=t,
         u_measure=u_measure,
         v_measure=v_measure,
-        u_arc=_longest_run_arc(u_mask, total) or (),
-        v_arc=_longest_run_arc(v_mask, total) or (),
+        u_arc=_longest_run_arc(u_mask, total),
+        v_arc=_longest_run_arc(v_mask, total),
         ok=u_measure > 1.0 / 3.0 and v_measure > 1.0 / 3.0,
     )
 
@@ -584,14 +564,19 @@ def mixedness_check(child: TowerStage, parent: TowerStage, N: int, *,
                     starts: int = 1024, search_grid: int = 0) -> MixednessReport:
     """Certify finite-stage mixedness at level N.
 
-    Witness times come from the mixing construction when the child
-    carries that metadata; otherwise (or when search_grid > 0) each
-    level scans a uniform time grid and keeps the best candidate.
+    A start is in phase (u) at time t when its lag, in parent periods, lies
+    within 1/(2N) of 0, and shifted (v) when within 1/(2N) of j/N: cells of
+    the N lag targets, disjoint for 1 <= j < N.  Level j passes when both
+    hold more than a third of the starts.  Witness times come from the
+    mixing construction when the child carries that metadata with delta >
+    0; otherwise (or when search_grid > 0) each level scans a uniform time
+    grid and keeps the best candidate.
     """
     if N < 1:
         raise ValidationError("mixedness level must be positive")
     reports = []
-    use_meta = child.meta.get("kind") == "mixing" and search_grid == 0
+    use_meta = (search_grid == 0 and child.meta.get("kind") == "mixing"
+                and child.meta["delta"] > 0)
     levels = [1] if N == 1 else list(range(1, N))
     for j in levels:
         if N == 1:

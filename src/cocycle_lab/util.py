@@ -1,11 +1,13 @@
-"""Shared utilities: canonical JSON, atomic file writes, quadrature nodes,
-a lockstep bracketing root finder, and an optional on-disk memo cache.
+"""Shared utilities: canonical JSON, the report encoder, atomic writes,
+quadrature nodes, a lockstep root finder and an optional on-disk memo cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -20,6 +22,33 @@ def canonical_json(obj) -> str:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"object is not canonically serializable: {exc}")
+
+
+def plain(obj):
+    """A report as JSON values, the one encoder of every report.
+
+    A dataclass becomes its ``kind`` (when it has one, as ``expr.Node``
+    writes it) followed by its fields; dicts are converted value by value;
+    tuples, lists and arrays become lists; numpy scalars become Python
+    scalars.  Null means undefined: every non-finite float becomes None,
+    so a statistic over an empty set is written as null.  It checks
+    nothing: a report's ``validate()`` still checks its invariants.
+    """
+    if dataclasses.is_dataclass(obj):
+        head = {"kind": obj.kind} if hasattr(obj, "kind") else {}
+        return {**head, **{f.name: plain(getattr(obj, f.name))
+                           for f in dataclasses.fields(obj)}}
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def sha1_hex(text: str) -> str:

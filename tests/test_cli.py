@@ -836,6 +836,21 @@ def test_tower_verbs_end_to_end(tmp_path):
     assert rep["N"] == 2 and len(rep["per_j"]) == 1
 
 
+def test_mixedness_of_a_zero_delta_mixing_stage_searches(tmp_path):
+    # delta 0 gives no witness times, so the check scans the default grid
+    # and finds the pure cover not mixed instead of failing
+    cover = tmp_path / "cover.json"
+    assert dispatch(["tower", "realize-mix", "--in", desc("v0.json"),
+                     "--delta", "0", "--n", "2", "--eps0", "0.4",
+                     "--out", str(cover)]) == 0
+    mx = tmp_path / "mx.json"
+    assert dispatch(["tower", "mixedness", "--child", str(cover),
+                     "--parent", desc("v0.json"), "--N", "2",
+                     "--starts", "64", "--out", str(mx)]) == 0
+    rep = report_of(str(mx))
+    assert rep["passed"] is False and rep["N"] == 2
+
+
 def test_mixedness_rejects_unrelated_parent(tmp_path, capsys):
     t1 = tmp_path / "t1.json"
     assert dispatch(["tower", "realize-pad", "--in", desc("v0.json"),

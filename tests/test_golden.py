@@ -6,7 +6,8 @@ Config echoes, CSV headers, strings, integers and booleans must match
 exactly, other numbers to 1e-9 relative, so a CPU whose libm rounds
 differently in the last bits still passes.  Help texts are compared on the
 Python minor version the corpus was made with, since argparse's layout
-differs between versions.  Regenerate with ``python tests/golden/regen.py``.
+differs between versions.  Regenerate with ``python tests/golden/regen.py``;
+``--diff`` prints what moved without rewriting the corpus.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 
 import pytest
@@ -100,3 +102,25 @@ def test_help_matches_golden(corpus, name):
 def test_exit_codes_match_golden(corpus):
     _, exits = corpus
     assert exits == json.loads(_read(GOLDEN, "out", "exits.json"))
+
+
+def test_differ_names_each_moved_field(tmp_path):
+    want = os.path.join(GOLDEN, "out")
+    got = tmp_path / "out"
+    shutil.copytree(want, got)
+    assert regen.diff(want, str(got)) == {}
+    assert regen.diff_table({}).startswith("no change")
+    path = got / "lemma22.json"
+    doc = json.loads(path.read_text())
+    doc["report"]["c_step0"] *= 1.0 + 1e-6
+    doc["report"]["retained"][0] = not doc["report"]["retained"][0]
+    path.write_text(json.dumps(doc))
+    (got / "help.txt").write_text("usage: other\n")
+    moved = regen.diff(want, str(got))
+    assert set(moved) == {("lemma22.json", "report.c_step0"),
+                          ("lemma22.json", "report.retained[]"),
+                          ("help.txt", "(file)")}
+    assert moved["lemma22.json", "report.c_step0"][1] == \
+        pytest.approx(1e-6, rel=1e-3)
+    assert moved["lemma22.json", "report.retained[]"][2] == 1
+    assert "`report.c_step0`" in regen.diff_table(moved)

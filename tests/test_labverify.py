@@ -1,7 +1,6 @@
 """Verification pipelines: cascade statistics, sum models, norm identities."""
 
 import dataclasses
-import json
 import math
 import os
 
@@ -41,6 +40,7 @@ from cocycle_lab.potentials import (
     free_discrete,
     smooth_bump_potential,
 )
+from cocycle_lab.util import canonical_json, plain
 
 from resonance import resonance_gap
 
@@ -144,8 +144,7 @@ def test_cascade_report_is_deterministic():
               kappa=0.02)
     rep1 = run_lemma22(bump_pot(), **kw)
     rep2 = run_lemma22(bump_pot(), **kw)
-    assert json.dumps(rep1.to_json(), sort_keys=True) == \
-        json.dumps(rep2.to_json(), sort_keys=True)
+    assert canonical_json(plain(rep1)) == canonical_json(plain(rep2))
 
 
 def test_cascade_past_the_first_step():
@@ -160,8 +159,7 @@ def test_cascade_past_the_first_step():
     assert excluded == initial - int(rep.retained.sum())
     assert np.all(np.isfinite(rep.averages[rep.retained]))
     again = run_lemma22(pot, energy_grid=100, P=3)
-    assert json.dumps(rep.to_json(), sort_keys=True) == \
-        json.dumps(again.to_json(), sort_keys=True)
+    assert canonical_json(plain(rep)) == canonical_json(plain(again))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +252,7 @@ def test_composite_report_is_deterministic():
     kw = dict(delta=0.05, energy_grid=200, t_points=8)
     rep1 = run_asd12(cos_family(lam=0.2, n1=2), 0.44, 0.60, **kw)
     rep2 = run_asd12(cos_family(lam=0.2, n1=2), 0.44, 0.60, **kw)
-    assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+    assert canonical_json(plain(rep1)) == canonical_json(plain(rep2))
 
 
 # ---------------------------------------------------------------------------

@@ -297,12 +297,20 @@ def test_trivial_cover_passes_level_one():
     assert report.passed and report.per_j[0].j == 1
 
 
-def test_pure_cover_fails_level_two():
+@pytest.mark.parametrize("N, starts, search_grid", [
+    (2, 256, 64),
+    # the default search grid: every lag of the pure 4-cover sits at 0, and
+    # the in-phase and shifted windows are disjoint, so no time fills both
+    (2, 64, 10_000),
+    (3, 64, 10_000),
+])
+def test_pure_cover_is_not_mixed(N, starts, search_grid):
     stage = sol.base_stage(bump_pot())
     cover = mixing_child(stage, 0.0, 2, 0.4)
-    report = sol.mixedness_check(cover, stage, 2, starts=256, search_grid=64)
+    report = sol.mixedness_check(cover, stage, N, starts=starts,
+                                 search_grid=search_grid)
     assert not report.passed
-    assert any(r.v_measure == 0.0 for r in report.per_j)
+    assert all(r.v_measure == 0.0 for r in report.per_j)
 
 
 # -- stacked realizations ---------------------------------------------------
