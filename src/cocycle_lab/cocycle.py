@@ -38,6 +38,9 @@ Density of states, growth, the completeness integral (and labverify's
 crooked metric) are read off one object for both kinds, the invariant section
 (section_points): the upper-half-plane fixed point of the monodromy,
 carried along the period by the prefix transfers, batched over energies.
+It is the one section pass, with one memory rule: blocks of at most
+_SECTION_ELEMENTS // len(times) energies, each reduced to per-energy values
+by the caller's reduction, so at most one block of the section is alive.
 Densities are integrated over bands (the completeness integral, labverify's
 IDS integral) by one rule, band_quadrature: E = edge +- x^2 on each half band.
 
@@ -117,6 +120,8 @@ ENGINE = (f"gauss-magnus6 step-doubling tol={_TOL!r} "
 # energies, and energy-steps of the longest piece, per block; see _batch
 _CHUNK = 256
 _BLOCK_STEPS = 3 * 2 ** 14
+# (energy, time) elements of the invariant section per block; see section_points
+_SECTION_ELEMENTS = 2 ** 17
 # complex x with |x| below this take a quadratic series in place of libm
 _SMALL_X = 1e-10
 # imaginary step of the complex-step trace derivative
@@ -355,6 +360,18 @@ def _as_batch(E):
     return arr, False
 
 
+def _chunked(E, size, fn):
+    """Apply fn to blocks of at most size energies and stack its results, an
+    array or a tuple of arrays, along the energies.  An empty batch is one
+    empty block, and a single block's result is returned as fn gave it."""
+    parts = [fn(E[i:i + size]) for i in range(0, max(E.shape[0], 1), size)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
+    return np.concatenate(parts, axis=0)
+
+
 def _distinct(a):
     """The sorted distinct values of a 1-d array, as np.unique gives them;
     np.unique imports numpy.ma, about 10 ms of a CLI process."""
@@ -392,7 +409,7 @@ def _trace(self, E):
     Earr, scalar = _as_batch(E)
     if self.kind == "continuum":  # tr2's formula off the monodromy planes
         planes = self._monodromy_planes
-        out = self._chunked(Earr, lambda b: np.add(*planes(b).diagonal().T))
+        out = _chunked(Earr, self._batch, lambda b: np.add(*planes(b).diagonal().T))
     else:
         out = sl2.tr2(self.monodromy(Earr))
     return float(out[0]) if scalar and not np.iscomplexobj(out) else (
@@ -453,17 +470,6 @@ class ContinuumCocycle:
         steps = max((p.steps for _, _, p in self._segments if p is not None),
                     default=1)
         return max(1, min(_CHUNK, _BLOCK_STEPS // steps))
-
-    def _chunked(self, E, fn):
-        """Apply fn to energy blocks of self._batch and stack its results, an
-        array or a tuple of arrays, along the energies."""
-        size = self._batch
-        parts = [fn(E[i:i + size]) for i in range(0, max(E.shape[0], 1), size)]
-        if len(parts) == 1:
-            return parts[0]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
-        return np.concatenate(parts, axis=0)
 
     @cached_property
     def _blocks(self):
@@ -526,7 +532,7 @@ class ContinuumCocycle:
             grid, M = self._in_period(block, rems)
             return _times_period_powers(M, ks, grid), M
 
-        return self._chunked(E, run)
+        return _chunked(E, self._batch, run)
 
     def prefix_grid(self, E, t_grid):
         """A(E, 0, t) for an ascending array of times; returns (K, Nt, 2, 2)."""
@@ -556,10 +562,11 @@ class ContinuumCocycle:
         """A(E, t0, t0 + period)."""
         Earr, scalar = _as_batch(E)
         if t0 == 0.0:
-            out = self._chunked(Earr, lambda b: plane_stack(self._monodromy_planes(b)))
+            out = _chunked(Earr, self._batch,
+                           lambda b: plane_stack(self._monodromy_planes(b)))
         else:
             rem = np.array([t0 - math.floor(t0 / self.period) * self.period])
-            P, M = self._chunked(Earr, lambda b: self._in_period(b, rem))
+            P, M = _chunked(Earr, self._batch, lambda b: self._in_period(b, rem))
             out = sl2.mul2(sl2.mul2(P[:, 0], M), sl2.inv2(P[:, 0]))
         return out[0] if scalar else out
 
@@ -790,7 +797,7 @@ def rotation_count(system, E):
             u /= np.max(np.abs(u), axis=0)
         return zeros
 
-    return system._chunked(E, run)
+    return _chunked(E, system._batch, run)
 
 
 def _minus_two_below(system, c):
@@ -990,20 +997,34 @@ def discrete_band_spectrum(system: DiscreteCocycle, **kw) -> BandSet:
 # ---------------------------------------------------------------------------
 
 
-def section_points(system, E, times, margin: float = 0.0):
-    """Invariant section z(E, t) = A(E, 0, t) . u(E) over a 1-d energy batch.
+def section_points(system, E, times, reduce, margin: float = 0.0):
+    """The invariant section z(E, t) = A(E, 0, t) . u(E) over a 1-d energy
+    batch, reduced block by block.
 
     u(E) is the upper-half-plane fixed point of the monodromy and A(E, 0, t)
     the prefix transfer to each time (continuum) or site (discrete) t, so
     z(E, t) is the fixed point of the monodromy based at t.  Both are read
-    off one integration of the period per energy block.  Returns a complex
-    (K, len(times)) array, nan on the energies with |trace| >= 2 - margin.
+    off one integration of the period per block of at most
+    _SECTION_ELEMENTS // len(times) energies.  reduce maps a block's
+    complex (K, len(times)) section, nan where |trace| >= 2 - margin, to
+    an array or a tuple of arrays over its K energies; they are stacked.
     """
+    def block(Eb):
+        pref, M = system._grid_and_monodromy(Eb, times)
+        u = np.where(np.abs(sl2.tr2(M)) < 2.0 - margin, sl2.fixed_points2(M), np.nan)
+        return reduce(sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2])))
+
+    size = max(1, _SECTION_ELEMENTS // len(times))
     with np.errstate(invalid="ignore", divide="ignore"):
-        pref, M = system._grid_and_monodromy(np.asarray(E), times)
-        u = np.where(np.abs(sl2.tr2(M)) < 2.0 - margin, sl2.fixed_points2(M),
-                     np.nan)
-        return sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
+        return _chunked(np.asarray(E), size, block)
+
+
+def _period_times(system, samples):
+    """The section's period grid: samples equally spaced times in
+    [0, period) (continuum), or the n sites (discrete)."""
+    if system.kind == "continuum":
+        return np.linspace(0.0, system.period, samples, endpoint=False)
+    return np.arange(system.sites)
 
 
 def ids(system, E, bandset=None):
@@ -1043,9 +1064,8 @@ def density(system, E, *, t_samples: int = 512):
 
     dN/dE = (1 / 2 pi) mean w(z) over the invariant section z, with
     w = 1 / Im z over t_samples times (continuum) or w = |z|^2 / Im z over
-    the n sites (discrete); see fixed_point_density.  One batched call for
-    all energies; raises NotEllipticError if an energy is not inside a
-    band.
+    the n sites (discrete); see fixed_point_density.  Raises
+    NotEllipticError if an energy is not inside a band.
     """
     Earr, scalar = _as_batch(E)
     out = fixed_point_density(system, Earr.astype(float), t_samples)
@@ -1071,15 +1091,13 @@ def fixed_point_density(system, E, t_samples: int = 512):
     state (u(j), u(j-1)), and its period mean is the rotation number's
     energy derivative (Johnson & Moser, Commun. Math. Phys. 84, 1982).
     """
-    if system.kind == "continuum":
-        times = np.linspace(0.0, system.period, t_samples, endpoint=False)
-    else:
-        times = np.arange(system.sites)
-    z = section_points(system, E, times)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    def mean_weight(z):
         weight = 1.0 / z.imag if system.kind == "continuum" else (
             (z.real * z.real + z.imag * z.imag) / z.imag)
         return np.mean(weight, axis=1) / (2.0 * np.pi)
+
+    return section_points(system, E, _period_times(system, t_samples),
+                          mean_weight)
 
 
 def lyapunov(system, E):
@@ -1112,30 +1130,22 @@ class GrowthReport:
 def growth_values(system, E, t0: float = 0.0, samples: int = 2048):
     """The GrowthReport fields over a 1-d energy batch, as arrays
     (value, sup_dist, base_dist, arg_sup); value is nan at energies with
-    |trace| >= 2 - sl2.ELLIPTIC_MARGIN.  Energies go through in blocks of
-    at most _CHUNK, which bounds the (energies, samples) section."""
-    if system.kind == "continuum":
-        grid = np.linspace(0.0, system.period, samples, endpoint=False)
-    else:
-        grid = np.arange(system.sites)
-    # the base point t0 need not be on the grid: it rides along as one more
-    # time
-    times = np.append(grid, t0)
-    E = np.asarray(E, dtype=float)
-    out = np.empty((4, E.shape[0]))
-    for i in range(0, E.shape[0], _CHUNK):
-        z = section_points(system, E[i:i + _CHUNK], times,
-                           margin=sl2.ELLIPTIC_MARGIN)
-        with np.errstate(invalid="ignore"):
-            dists = sl2.hyp_dist2(z, 1j)
+    |trace| >= 2 - sl2.ELLIPTIC_MARGIN.  Each section block is reduced to
+    its sup, argmax and base distance."""
+    # t0 need not be on the grid: it rides along as one more time
+    times = np.append(_period_times(system, samples), t0)
+
+    def sup_and_base(z):
+        dists = sl2.hyp_dist2(z, 1j)
         k = np.argmax(dists[:, :-1], axis=1)
-        blk = out[:, i:i + _CHUNK]
-        blk[1] = dists[np.arange(k.shape[0]), k]
-        blk[2] = dists[:, -1]
-        blk[3] = grid[k]
+        # a copy of the base column: a view would keep the block alive
+        return dists[np.arange(k.shape[0]), k], dists[:, -1].copy(), times[k]
+
+    sup, base, arg = section_points(system, np.asarray(E, dtype=float), times,
+                                    sup_and_base, margin=sl2.ELLIPTIC_MARGIN)
     # math.exp, not np.exp: the two differ in the last bit on some energies
-    out[0] = [math.exp((sup - base) / 2.0) for sup, base in zip(out[1], out[2])]
-    return tuple(out)
+    value = np.array([math.exp((a - b) / 2.0) for a, b in zip(sup, base)])
+    return value, sup, base, arg
 
 
 def growth_value(system, E: float, t0: float = 0.0, samples: int = 2048) -> GrowthReport:
@@ -1231,7 +1241,7 @@ def spectral_parseval(system: DiscreteCocycle, bandset: BandSet, n: int,
 
     For the Bloch pair normalized to unit Wronskian (bloch_pair) this is
     the diagonal completeness integral and should equal 1 at every site n.
-    With z_n = section_points(system, E, [n]) = u(n) / u(n-1), the
+    With z_n = u(n) / u(n-1), the section at site n (section_points), the
     integrand is (|z_n|^2 + 1) / (2 Im z_n); it is evaluated on the
     band_quadrature nodes of all bands at once.
     """
@@ -1240,7 +1250,8 @@ def spectral_parseval(system: DiscreteCocycle, bandset: BandSet, n: int,
     if not nodes:
         return 0.0
     Es, Ws = (np.concatenate(v) for v in zip(*nodes))
-    z = section_points(system, Es, [n], margin=sl2.ELLIPTIC_MARGIN)[:, 0]
+    z = section_points(system, Es, [n], lambda zb: zb[:, 0],
+                       margin=sl2.ELLIPTIC_MARGIN)
     bad = np.flatnonzero(np.isnan(z))
     if bad.size:
         raise NotEllipticError(f"energy {Es[bad[0]]!r} is not elliptic")

@@ -790,29 +790,23 @@ def crooked_metric(
     lo = system.scan_range(M)[0]
     bands = cyc.band_spectrum(system, lo, M)
     energies, weights = _band_energy_grid(bands, M, per_band)
-    if energies.size == 0:
-        return {
-            "kind": "robust-growth-report",
-            "eps1": eps1,
-            "C1": C1,
-            "M": M,
-            "total_measure": 0.0,
-            "passing_measure": 0.0,
-            "deficit": 0.0,
-            "passing_fraction": 1.0,
-        }
     t_grid = system.period * (np.arange(t_samples) + 0.5) / t_samples
     stride = max(1, t_samples // basepoints)
 
-    # all energies at once; non-elliptic rows come back as nan and fail
-    z = cyc.section_points(system, energies, t_grid, margin=1e-9)
-    dists = _dist_to_base(z)
-    sup_d = np.max(dists, axis=1)
-    base = dists[:, ::stride]
-    frac = np.mean(base <= (sup_d - 2.0 * math.log(C1) + 1e-12)[:, None], axis=1)
-    passing = ~np.isnan(z[:, 0]) & (frac > 1.0 - eps1)
+    def basepoint_fraction(z):
+        # nan on the non-elliptic rows, which then fail
+        dists = _dist_to_base(z)
+        cut = np.max(dists, axis=1) - 2.0 * math.log(C1) + 1e-12
+        frac = np.mean(dists[:, ::stride] <= cut[:, None], axis=1)
+        return np.where(np.isnan(z[:, 0]), np.nan, frac)
+
+    frac = cyc.section_points(system, energies, t_grid, basepoint_fraction,
+                              margin=1e-9)
+    passing = frac > 1.0 - eps1
     total = float(np.sum(weights))
     gamma = float(np.sum(weights[passing]))
+    # a fraction of no spectrum is undefined, and the report writes it null
+    fraction = gamma / total if total > 0.0 else math.nan
     return {
         "kind": "robust-growth-report",
         "eps1": eps1,
@@ -824,8 +818,8 @@ def crooked_metric(
         "total_measure": total,
         "passing_measure": gamma,
         "deficit": total - gamma,
-        "passing_fraction": gamma / total,
-        "crooked": bool(gamma / total > 1.0 - 1e-9),
+        "passing_fraction": fraction,
+        "crooked": bool(fraction > 1.0 - 1e-9),
     }
 
 
@@ -903,10 +897,7 @@ def growth_minimax(system, E: float) -> dict:
 
     Oracle for the growth functional; checked by test_minimax_matches_growth_functional.
     """
-    if system.kind == "continuum":
-        times = system.period * np.arange(_MINIMAX_TIMES) / _MINIMAX_TIMES
-    else:
-        times = np.arange(system.sites)
+    times = cyc._period_times(system, _MINIMAX_TIMES)
     pref, mono = system._grid_and_monodromy(np.asarray([float(E)]), times)
     pref = pref[0]
     if abs(float(sl2.tr2(mono)[0])) >= 2.0 - 1e-9:

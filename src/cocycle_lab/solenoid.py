@@ -470,6 +470,22 @@ def lift_closeness(child: TowerStage, parent: TowerStage) -> LiftCloseness:
     return LiftCloseness(flow_gap=flow_gap, sample_gap=sample_gap)
 
 
+def _lag_profile(child: TowerStage, parent: TowerStage, starts: int):
+    """displacement_profile as a function of t, with the start points and
+    the parent times of their projections (free of t) computed once."""
+    if not _in_chain(child, parent):
+        raise ProjectionError("stages do not sit in one covering chain")
+    tm_c, tm_p = child.time_map, parent.time_map
+    s = tm_c.total * np.arange(starts) / starts
+    tau0 = tm_p.time_at(np.mod(tm_c.position_at(s), parent.arc_length))
+
+    def lag(t):
+        tau1 = tm_p.time_at(np.mod(tm_c.position_at(s + t), parent.arc_length))
+        return np.mod((t - (tau1 - tau0)) / tm_p.total, 1.0)
+
+    return lag
+
+
 def displacement_profile(child: TowerStage, parent: TowerStage, t: float,
                          starts: int = 1024) -> np.ndarray:
     """Projected time lag (fraction of the parent period) after time t.
@@ -477,18 +493,11 @@ def displacement_profile(child: TowerStage, parent: TowerStage, t: float,
     Start points are uniform in flow time, which is the invariant
     measure of the stage flow.  For each start x the value is
     (t - parent time advance of the projection) / parent period, mod 1.
+
+    Oracle for the lags mixedness_check scans; checked by
+    test_mixedness_projection_identity_on_witness_set.
     """
-    if not _in_chain(child, parent):
-        raise ProjectionError("stages do not sit in one covering chain")
-    tm_c = child.time_map
-    tm_p = parent.time_map
-    s = tm_c.total * np.arange(starts) / starts
-    x0 = tm_c.position_at(s)
-    x1 = tm_c.position_at(s + t)
-    tau0 = tm_p.time_at(np.mod(x0, parent.arc_length))
-    tau1 = tm_p.time_at(np.mod(x1, parent.arc_length))
-    lag = (t - (tau1 - tau0)) / tm_p.total
-    return np.mod(lag, 1.0)
+    return _lag_profile(child, parent, starts)(t)
 
 
 def _circ_dist(x, c):
@@ -542,24 +551,6 @@ class MixednessReport:
     per_j: tuple
 
 
-def _witness_at(child, parent, N, j, t, starts):
-    lag = displacement_profile(child, parent, t, starts=starts)
-    u_mask = _circ_dist(lag, 0.0) < 0.5 / N
-    v_mask = _circ_dist(lag, j / N) < 0.5 / N
-    total = child.time_map.total
-    u_measure = float(np.mean(u_mask))
-    v_measure = float(np.mean(v_mask))
-    return WitnessReport(
-        j=j,
-        t=t,
-        u_measure=u_measure,
-        v_measure=v_measure,
-        u_arc=_longest_run_arc(u_mask, total),
-        v_arc=_longest_run_arc(v_mask, total),
-        ok=u_measure > 1.0 / 3.0 and v_measure > 1.0 / 3.0,
-    )
-
-
 def mixedness_check(child: TowerStage, parent: TowerStage, N: int, *,
                     starts: int = 1024, search_grid: int = 0) -> MixednessReport:
     """Certify finite-stage mixedness at level N.
@@ -570,15 +561,16 @@ def mixedness_check(child: TowerStage, parent: TowerStage, N: int, *,
     hold more than a third of the starts.  Witness times come from the
     mixing construction when the child carries that metadata with delta >
     0; otherwise (or when search_grid > 0) each level scans a uniform time
-    grid and keeps the best candidate.
+    grid and keeps the best candidate.  The start points and their parent
+    times are computed once, and arcs only for the kept candidate.
     """
     if N < 1:
         raise ValidationError("mixedness level must be positive")
+    lag_at = _lag_profile(child, parent, starts)
     reports = []
     use_meta = (search_grid == 0 and child.meta.get("kind") == "mixing"
                 and child.meta["delta"] > 0)
-    levels = [1] if N == 1 else list(range(1, N))
-    for j in levels:
+    for j in range(1, max(N, 2)):
         if N == 1:
             candidates = [child.time_map.total]
         elif use_meta:
@@ -587,15 +579,20 @@ def mixedness_check(child: TowerStage, parent: TowerStage, N: int, *,
             g = search_grid if search_grid > 0 else 10_000
             candidates = (child.time_map.total * np.arange(1, g + 1) / g).tolist()
         best = None
-        for t in candidates:
-            rep = _witness_at(child, parent, N, j, float(t), starts)
-            if best is None or min(rep.u_measure, rep.v_measure) > min(
-                best.u_measure, best.v_measure
-            ):
-                best = rep
-            if best.ok:
+        for t in map(float, candidates):
+            lag = lag_at(t)
+            masks = _circ_dist(lag, 0.0) < 0.5 / N, _circ_dist(lag, j / N) < 0.5 / N
+            u, v = (float(np.mean(m)) for m in masks)
+            if best is None or min(u, v) > min(best[2:4]):
+                best = (t, masks, u, v)
+            if min(best[2:4]) > 1.0 / 3.0:
                 break
-        reports.append(best)
+        t, masks, u, v = best
+        reports.append(WitnessReport(
+            j=j, t=t, u_measure=u, v_measure=v,
+            u_arc=_longest_run_arc(masks[0], child.time_map.total),
+            v_arc=_longest_run_arc(masks[1], child.time_map.total),
+            ok=u > 1.0 / 3.0 and v > 1.0 / 3.0))
     return MixednessReport(
         N=N, passed=all(r.ok for r in reports), per_j=tuple(reports)
     )

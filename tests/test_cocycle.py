@@ -727,7 +727,7 @@ class TestPeriodPass:
         with np.errstate(invalid="ignore", divide="ignore"):
             u = np.where(np.abs(sl2.tr2(M)) < 2.0, sl2.fixed_points2(M), np.nan)
             want = sl2.moebius2(grid, np.broadcast_to(u[:, None], grid.shape[:2]))
-        got = cocycle.section_points(sysm, E, times)
+        got = cocycle.section_points(sysm, E, times, lambda z: z)
         assert np.isfinite(got).any() and np.isnan(got).any()
         np.testing.assert_array_equal(got, want)
 
@@ -1416,9 +1416,43 @@ class TestInvariantSection:
             u = np.where(np.abs(sl2.tr2(M)) < 2.0, sl2.fixed_points2(M), np.nan)
             pref = sysm.prefix_grid(E, times)
             want = sl2.moebius2(pref, np.broadcast_to(u[:, None], pref.shape[:2]))
-        got = cocycle.section_points(sysm, E, times)
+        got = cocycle.section_points(sysm, E, times, lambda z: z)
         assert np.isfinite(got).any() and np.isnan(got).any()
         np.testing.assert_array_equal(got, want)
+        # an empty batch is one empty block
+        none = np.empty(0)
+        assert cocycle.section_points(sysm, none, times, lambda z: z).shape == (
+            0, len(times))
+        assert cocycle.fixed_point_density(sysm, none).shape == (0,)
+        assert density(sysm, none).shape == (0,)
+        assert [f.shape for f in growth_values(sysm, none)] == [(0,)] * 4
+
+    def test_memory_is_bounded_in_energies_and_times(self, tmp_path):
+        # peak RSS of the CLI on v0, each run in a fresh process: with the
+        # whole (energies, times) section at once, density peaked at 485 MB
+        # at --count 8192 against 65 MB at its default, and growth at 287 MB
+        # at --samples 8192 against 101 MB.  A small process starts the CLI
+        # and reads its peak: a process forked from this one starts its
+        # ru_maxrss at the test process's size, which would hide the CLI's
+        pytest.importorskip("resource")
+        code = ("import resource, subprocess, sys\n"
+                "subprocess.run(sys.argv[1:], check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cocycle.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "COCYCLE_LAB_CACHE"}
+        env["PYTHONPATH"] = src
+
+        def peak(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", code, sys.executable, "-m", "cocycle_lab.cli",
+                 *argv, "--potential", os.path.join(DESCRIPTORS, "v0.json"),
+                 "--out", str(tmp_path / "rows.csv")],
+                capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            return int(done.stdout)
+
+        for verb, grid in (("density", "--count"), ("growth", "--samples")):
+            assert peak(verb, grid, "8192") <= 1.1 * peak(verb), verb
 
     def test_one_pass_per_energy_block(self, monkeypatch):
         sysm = workload_bump()
@@ -1509,17 +1543,21 @@ class TestGrowth:
             os.path.join(DESCRIPTORS, "cos3.json")).slice(0.0)),
     ], ids=["v0", "well", "cos3"])
     def test_growth_batch_equals_single_energies(self, sysm):
-        # more than one block of energies, gap energies among them
+        # more than one block of energies, gap energies among them; at the
+        # default samples the section takes more than one block too
         sysm = sysm()
         E = np.linspace(-2.5, 6.0, 300)
-        got = growth_values(sysm, E, t0=0.3, samples=64)
         inside = np.abs(sysm.trace(E)) < 2.0 - sl2.ELLIPTIC_MARGIN
         assert 0 < inside.sum() < E.size
-        assert np.all(np.isnan(got[0][~inside]))
-        want = [growth_value(sysm, e, t0=0.3, samples=64) for e in E[inside]]
-        for field, values in zip(("value", "sup_dist", "base_dist", "arg_sup"), got):
-            np.testing.assert_array_equal(values[inside],
-                                          [getattr(r, field) for r in want])
+        for samples in (64, 2048):
+            got = growth_values(sysm, E, t0=0.3, samples=samples)
+            assert np.all(np.isnan(got[0][~inside]))
+            want = [growth_value(sysm, e, t0=0.3, samples=samples)
+                    for e in E[inside]]
+            for field, values in zip(("value", "sup_dist", "base_dist", "arg_sup"),
+                                     got):
+                np.testing.assert_array_equal(values[inside],
+                                              [getattr(r, field) for r in want])
 
     def test_growth_not_elliptic_raises(self):
         sysm = alt_cocycle()
