@@ -6,7 +6,8 @@ block j of 2n blocks of N periods by delta sin^(2N)(pi j / 2n) (the growth
 cascade); a ``UniformPadding`` pads the last n of 2n periods by delta (the
 mixing stages of towers).  The padded monodromy factors into padding
 blocks (a free propagator over the pad times a power of the original
-monodromy); ``block_products`` is their running product, and the closed
+monodromy); ``padding_chunks`` builds them one chunk of pads per call,
+``padding_product`` multiplies them without renormalizing, and the closed
 forms below are test oracles for that factorization.
 
 Discrete side: symbolic family operators (repeat, twist, slide,
@@ -47,6 +48,8 @@ from .potentials import (
     DiscreteFamily,
     Gap,
 )
+
+_CHUNK_BLOCKS = 2**15  # blocks (pads x matrices of MN) per chunk of padding_chunks
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +137,32 @@ def padding_block(E, pad, MN) -> np.ndarray:
     """Padding block [free propagator over the pad] . MN, shape (..., 2, 2).
 
     MN is the block of N base monodromies; E and pad broadcast against
-    its stack, and a scalar pad of zero returns MN itself.
+    its stack.
     """
-    if np.ndim(pad) == 0 and pad == 0.0:
-        return MN
     return sl2.mul2(free_block(E, pad), MN)
 
 
-def block_products(E, pads, MN):
-    """Yield (block, product) for each pad in order: padding_block(E, pad,
-    MN) and the running product of the blocks so far, that block leftmost,
-    scaled back to determinant one after every factor."""
-    acc = np.empty(np.shape(MN))
-    acc[:] = np.eye(2)
-    for pad in pads:
-        block = padding_block(E, pad, MN)
-        acc = sl2.renorm2(sl2.mul2(block, acc))
-        yield block, acc
+def padding_chunks(E, pads, MN):
+    """Yield the padding blocks of the pads in order, as (chunk, ..., 2, 2)
+    stacks of padding_block(E, pad, MN) over consecutive chunks of at most
+    _CHUNK_BLOCKS // (matrices in MN) pads."""
+    size = max(1, 4 * _CHUNK_BLOCKS // np.size(MN))
+    pads = np.reshape(pads, (-1,) + (1,) * (np.ndim(MN) - 2))
+    for i in range(0, len(pads), size):
+        yield padding_block(E, pads[i:i + size], MN)
+
+
+def padding_product(E, pads, MN):
+    """(product, elliptic): the product of the padding blocks of the pads,
+    the last leftmost, and whether every block has |trace| < 2.  Each chunk
+    is multiplied by sl2.plane_product and the running product is carried
+    across chunks; nothing is renormalized."""
+    product, elliptic = np.eye(2), True
+    for blocks in padding_chunks(E, pads, MN):
+        elliptic = elliptic & np.all(np.abs(sl2.tr2(blocks)) < 2.0, axis=0)
+        chunk = sl2.plane_product(np.moveaxis(blocks, (-2, -1), (0, 1)))
+        product = sl2.mul2(np.moveaxis(chunk, (0, 1), (-2, -1)), product)
+    return product, elliptic
 
 
 def padded_block_matrix(base: ContinuumCocycle, E: float, spec: PaddingSpec,

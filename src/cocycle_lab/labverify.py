@@ -45,7 +45,6 @@ __all__ = [
     "growth_minimax",
 ]
 
-_I2 = np.eye(2)
 # elliptic placeholder for excluded rows, keeps batch operations tame
 _SAFE_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -64,15 +63,14 @@ def _dist_to_int(x):
 def _orbit_max_gap(theta, count):
     """Largest circular gap left by the orbit {k theta mod 1 : k < count}.
 
-    theta is a 1-d array of angles in turns; returns one gap per row.
+    theta is a 1-d array of angles in turns; returns one gap per row,
+    computed in blocks of rows holding at most _ORBIT_ELEMENTS orbit points.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = np.arange(count, dtype=float)
-    orbit = np.mod(theta[:, None] * k[None, :], 1.0)
-    orbit.sort(axis=1)
-    inner = np.diff(orbit, axis=1).max(axis=1) if count > 1 else np.ones(len(theta))
-    wrap = 1.0 - orbit[:, -1] + orbit[:, 0]
-    return np.maximum(inner, wrap)
+    def gaps(rows):
+        orbit = np.sort(np.mod(rows[:, None] * np.arange(count, dtype=float), 1.0), axis=1)
+        inner = np.diff(orbit, axis=1).max(axis=1) if count > 1 else np.ones(len(rows))
+        return np.maximum(inner, 1.0 - orbit[:, -1] + orbit[:, 0])
+    return cyc._chunked(np.asarray(theta, dtype=float), max(1, _ORBIT_ELEMENTS // count), gaps)
 
 
 def _dist_to_base(u):
@@ -135,72 +133,68 @@ _DENSE_QUOTA = 0.99  # least fraction of dense rows at the chosen block count
 _GAMMA_LEVELS = (0.1, 0.2, 0.25, 0.4)  # growth-event levels
 _FRAC_SAMPLES = 8  # fractions of the base period sampled for the averages
 _AVG_BLOCKS = 64  # blocks kept per step for the averages
+_ORBIT_ELEMENTS = 2**17  # orbit points per row block of _orbit_max_gap
 
 
 def _choose_block_count(theta, start, cap):
     """Smallest power-of-two multiple of `start` whose rotation orbits are
     dense (gaps below _DENSE_GAP) for at least a _DENSE_QUOTA fraction of
-    the rows."""
+    the rows, or the cap; returns (count, the orbit gaps at count)."""
     count = start
     while True:
         gaps = _orbit_max_gap(theta, count)
         if np.mean(gaps < _DENSE_GAP) >= _DENSE_QUOTA or count >= cap:
-            return count
+            return count, gaps
         count *= 2
 
 
 def _padded_product(E, apow, pads, u):
-    """Product pass of a padding step: the running block product of
-    deform.block_products over the pads.
+    """Product pass of a padding step: deform.padding_product over the
+    pads, scaled once to determinant one for its fixed point.
 
     Returns (product, u_next, alive, drift): alive flags the rows whose
     every block and product are elliptic with a finite drift d(u_next, u)
     of the product's fixed point.
     """
-    alive = np.ones(len(E), dtype=bool)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for block, acc in deform.block_products(E, pads, apow):
-            alive &= np.abs(sl2.tr2(block)) < 2.0
+        acc, alive = deform.padding_product(E, pads, apow)
+        acc = sl2.renorm2(acc)
         alive &= np.abs(sl2.tr2(acc)) < 2.0 - 1e-9
         u_next = sl2.fixed_points2(acc)
         drift = sl2.hyp_dist2(np.where(alive, u_next, 1j), np.where(alive, u, 1j))
     return acc, u_next, alive & np.isfinite(drift), drift
 
 
-def _padding_step(E, A, u, delta, big_n, n, kappa, keep_stride=0):
-    """One padding step on raw monodromies, streaming in block index.
+def _padding_step(E, A, u, delta, big_n, n, kappa, stride):
+    """One padding step on raw monodromies.
 
     Returns (A_next, u_next, alive, epsilon, kept) where alive flags the
     rows that stayed elliptic factor by factor with fixed-point drift
     below kappa, epsilon is the block-boundary excursion proxy
-    2 sinh(max_m d(B_m u', u) / 2), and kept maps a strided subset of
-    block indices to the partial products B_m (for time averaging).
+    2 sinh(max_m d(B_m u', u) / 2), and kept stacks the points B_m u' of
+    every stride-th block index m (for time averaging).
 
-    Both passes iterate deform.block_products.  The excursion pass needs
-    u', the fixed point of the whole product, so it cannot share the
-    product pass; keeping the 2n partial products instead of rebuilding
-    them would hold 2n K 32 B, 105 MB at 400 energies and 8,192 blocks.
+    The excursion pass needs u', the fixed point of the whole product, so it
+    builds the blocks again and carries z_m = B_m u', one Moebius map a block.
     """
-    count = A.shape[0]
     pads = deform.PaddingSpec(delta, big_n, n).pad_lengths()
     apow = sl2.power2(A, big_n)
     a_next, u_next, alive, drift = _padded_product(E, apow, pads, u)
     alive &= drift < kappa
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         u_next = np.where(alive, u_next, np.nan * (1 + 1j))
-        safe_u = np.where(alive, u_next, 1j)
+        z = np.where(alive, u_next, 1j)
         base_u = np.where(alive, u, 1j)
-        dmax = np.zeros(count)
-        kept = {}
-        acc = np.broadcast_to(_I2, (count, 2, 2))
-        for m, (_, product) in enumerate(deform.block_products(E, pads, apow)):
-            if keep_stride and m % keep_stride == 0:
-                kept[m] = acc
-            um = sl2.moebius2(acc, safe_u)
-            dmax = np.maximum(dmax, sl2.hyp_dist2(um, base_u))
-            acc = product
+        dmax, kept, m = np.zeros(len(E)), [], 0
+        for blocks in deform.padding_chunks(E, pads, apow):
+            points = np.empty(blocks.shape[:-2], dtype=complex)
+            for i, block in enumerate(blocks):
+                points[i], z = z, sl2.moebius2(block, z)
+            dmax = np.maximum(dmax, sl2.hyp_dist2(points, base_u).max(axis=0))
+            kept.append(points[-m % stride::stride].copy())  # a view keeps all points
+            m += len(blocks)
     epsilon = np.where(alive, 2.0 * np.sinh(dmax / 2.0), 0.0)
-    return a_next, u_next, alive, epsilon, kept
+    return a_next, u_next, alive, epsilon, np.concatenate(kept)
 
 
 def _choose_pad_count(E, A, u, delta, big_n, kappa, cap):
@@ -218,23 +212,17 @@ def _choose_pad_count(E, A, u, delta, big_n, kappa, cap):
         n *= 2
 
 
-def _stratified_average(A_prev, big_n, kept, u_next, prefix_frac, alive):
-    """Time-averaged distance to i sampled over (block, power, fraction)."""
-    count = A_prev.shape[0]
+def _stratified_average(A_prev, big_n, kept, prefix_frac):
+    """Mean distance to i of the kept points under prefix_frac[:, f] A_prev^k, k < big_n."""
     k_samples = sorted(set(int(round(x)) for x in np.linspace(0, big_n - 1, 4)))
-    total = np.zeros(count)
-    taken = 0
-    safe_u = np.where(alive, u_next, 1j)
+    total = np.zeros(A_prev.shape[0])
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in k_samples:
             apk = sl2.power2(A_prev, k)
-            for block in kept.values():
-                mid = sl2.mul2(apk, block)
-                for f in range(prefix_frac.shape[1]):
-                    pre = sl2.mul2(prefix_frac[:, f], mid)
-                    total += _dist_to_base(sl2.moebius2(pre, safe_u))
-                    taken += 1
-    return total / taken
+            for f in range(prefix_frac.shape[1]):
+                pre = sl2.mul2(prefix_frac[:, f], apk)
+                total += _dist_to_base(sl2.moebius2(pre, kept)).sum(axis=0)
+    return total / (len(k_samples) * prefix_frac.shape[1] * len(kept))
 
 
 def run_lemma22(
@@ -268,21 +256,16 @@ def run_lemma22(
     elif P is None:
         P = 4
     system = cyc.ContinuumCocycle(pot)
-    period0 = system.period
     energies = M * (np.arange(energy_grid) + 0.5) / energy_grid
     frac = (np.arange(_FRAC_SAMPLES) + 0.5) / _FRAC_SAMPLES
-    prefix_frac, A = system._grid_and_monodromy(energies, frac * period0)
+    prefix_frac, A = system._grid_and_monodromy(energies, frac * system.period)
     elliptic = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
     if not np.any(elliptic):
         raise PipelineCollapseError(0, "no elliptic energies on the grid")
     A = np.where(elliptic[:, None, None], A, _SAFE_ROT)
     u = np.where(elliptic, sl2.fixed_points2(A), 1j)
 
-    base_avg = np.zeros(energy_grid)
-    for f in range(_FRAC_SAMPLES):
-        base_avg += _dist_to_base(sl2.moebius2(prefix_frac[:, f], u))
-    base_avg /= _FRAC_SAMPLES
-    base_avg = np.where(elliptic, base_avg, np.nan)
+    base_avg = np.where(elliptic, _stratified_average(A, 1, u[None], prefix_frac), np.nan)
     c_step0 = float(np.nanmax(base_avg))
 
     alive = elliptic.copy()
@@ -294,12 +277,10 @@ def run_lemma22(
 
     for step in range(1, P + 1):
         theta = sl2.rotation_angles2(A)
-        big_n = _choose_block_count(theta[alive], n_start, n_cap)
+        big_n, gaps = _choose_block_count(theta[alive], n_start, n_cap)
+        dense = alive.copy()
         if delta > 0:
-            dense = np.zeros(energy_grid, dtype=bool)
-            dense[alive] = _orbit_max_gap(theta[alive], big_n) < _DENSE_GAP
-        else:
-            dense = alive.copy()
+            dense[alive] = gaps < _DENSE_GAP
         sub = slice(None, None, 8)
         n = _choose_pad_count(
             energies[alive][sub], A[alive][sub], u[alive][sub],
@@ -307,7 +288,7 @@ def run_lemma22(
         ) if delta > 0 else 2
         stride = max(1, (2 * n) // _AVG_BLOCKS)
         a_next, u_next, ok, epsilon, kept = _padding_step(
-            energies, A, u, delta, big_n, n, kappa, keep_stride=stride
+            energies, A, u, delta, big_n, n, kappa, stride
         )
         ok &= alive & dense
         excluded = int(alive.sum()) - int(ok.sum())
@@ -327,7 +308,7 @@ def run_lemma22(
             else:
                 frac_ev = 0.0
             events[f"{level:g}"] = {"fraction": frac_ev, "predicted": level / 3.0}
-        avg_next = _stratified_average(A, big_n, kept, u_next, prefix_frac, ok)
+        avg_next = _stratified_average(A, big_n, kept, prefix_frac)
         avg = np.where(ok, avg_next, np.nan)
         growth_log = np.where(ok, growth_log + np.arcsinh(epsilon / 2.0), growth_log)
         steps.append(
@@ -663,7 +644,7 @@ def carleson_parseval(mats, grid: int = 2**14) -> dict:
             raise ValidationError("factors must be unimodular 2x2 matrices")
     theta = np.arange(grid, dtype=float) / grid
     rots = sl2.rotation2(theta)
-    prod = np.broadcast_to(_I2, (grid, 2, 2))
+    prod = np.broadcast_to(np.eye(2), (grid, 2, 2))
     for a in mats:
         prod = sl2.mul2(np.broadcast_to(a, (grid, 2, 2)), sl2.mul2(rots, prod))
     lhs = float(np.mean(_norm_functional2(prod)))
@@ -693,7 +674,7 @@ def random_polar_matrices(count: int, lam_max: float, seed: int):
 
 def _sandwich_product(lambdas, betas, theta, s):
     """Product of diag(e^{s l_j}, e^{-s l_j}) R_{beta_j} R_theta factors."""
-    out = _I2.copy()
+    out = np.eye(2)
     for lam, beta in zip(lambdas, betas):
         d = np.diag([math.exp(s * lam), math.exp(-s * lam)])
         out = d @ sl2.rotation2(beta + theta) @ out
@@ -722,13 +703,13 @@ def carleson_b1(lambdas, betas, theta: float, s: float = 1e-3,
     alpha_n = sum(betas)
     b0 = sl2.rotation2(alpha_n + count * theta)
     lam_flip = np.diag([1.0, -1.0])
-    prefix = _I2.copy()
+    prefix = np.eye(2)
     b1 = np.zeros((2, 2))
     prefixes = []
     for j in range(count):
         prefixes.append(prefix.copy())
         prefix = sl2.rotation2(betas[j] + theta) @ prefix
-    suffix = _I2.copy()
+    suffix = np.eye(2)
     for j in range(count - 1, -1, -1):
         rot_j = sl2.rotation2(betas[j] + theta)
         b1 = b1 + lambdas[j] * (suffix @ lam_flip @ rot_j @ prefixes[j])

@@ -500,8 +500,15 @@ def displacement_profile(child: TowerStage, parent: TowerStage, t: float,
     return _lag_profile(child, parent, starts)(t)
 
 
-def _circ_dist(x, c):
-    return np.abs(np.mod(np.asarray(x) - c + 0.5, 1.0) - 0.5)
+def _lag_cells(lag, N):
+    """The cell floor(N lag + 1/2) mod N of the target c / N each lag lies
+    strictly within 1/(2N) of, circularly; -1 for a lag exactly halfway
+    between two targets.  Only the product N lag is rounded."""
+    y = N * np.asarray(lag)
+    cell = np.rint(y)
+    cells = cell.astype(np.intp) % N
+    cells[np.abs(y - cell) == 0.5] = -1
+    return cells
 
 
 def _longest_run_arc(mask: np.ndarray, total: float):
@@ -580,8 +587,8 @@ def mixedness_check(child: TowerStage, parent: TowerStage, N: int, *,
             candidates = (child.time_map.total * np.arange(1, g + 1) / g).tolist()
         best = None
         for t in map(float, candidates):
-            lag = lag_at(t)
-            masks = _circ_dist(lag, 0.0) < 0.5 / N, _circ_dist(lag, j / N) < 0.5 / N
+            cells = _lag_cells(lag_at(t), N)
+            masks = cells == 0, cells == j % N
             u, v = (float(np.mean(m)) for m in masks)
             if best is None or min(u, v) > min(best[2:4]):
                 best = (t, masks, u, v)

@@ -18,7 +18,6 @@ from cocycle_lab.cocycle import (
 from cocycle_lab.deform import (
     PaddingSpec,
     UniformPadding,
-    block_products,
     block_trace_formula,
     crumble_circle,
     frame_data,
@@ -28,6 +27,7 @@ from cocycle_lab.deform import (
     padded_block_matrix,
     padded_monodromy_formula,
     padding_block,
+    padding_product,
     proper_svd,
     repeat_family,
     sampling_family,
@@ -137,16 +137,18 @@ def test_pad_pointwise_values():
                                   UniformPadding(delta=0.25, n=3)],
                          ids=["modulated", "uniform"])
 def test_pad_monodromy_matches_block_product(spec):
-    # the cascade's running product (deform.block_products) against the
-    # engine's monodromy of the padded potential, in both layouts
+    # the cascade's chunked block product (deform.padding_product) against
+    # the engine's monodromy of the padded potential, in both layouts
     pot = bump_pot()
     base = ContinuumCocycle(pot)
     padded = ContinuumCocycle(pad(pot, spec))
     E = 2.0
     direct = padded.monodromy(E)
     MN = sl2.power2(base.monodromy(E), spec.N)
-    *_, (_, product) = block_products(E, spec.pad_lengths(), MN)
+    product, elliptic = padding_product(E, spec.pad_lengths(), MN)
     assert np.allclose(product, direct, atol=1e-9)
+    blocks = [padding_block(E, L, MN) for L in spec.pad_lengths()]
+    assert elliptic == all(abs(np.trace(G)) < 2.0 for G in blocks)
     if isinstance(spec, PaddingSpec):
         formula = padded_monodromy_formula(base, E, spec)
         assert np.allclose(direct, formula, atol=1e-9)
@@ -192,7 +194,7 @@ def test_padding_block_matches_gap_propagator():
     base = ContinuumCocycle(bump_pot())
     for E, N in ((0.7, 1), (2.0, 3), (4.4, 8)):
         MN = sl2.power2(base.monodromy(E), N)
-        assert padding_block(E, 0.0, MN) is MN
+        assert np.array_equal(padding_block(E, 0.0, MN), MN)
         for L in (0.03, 0.45, 1.2):
             want = gap_propagator(E, L) @ MN
             assert np.allclose(padding_block(E, L, MN), want, atol=1e-12)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from cocycle_lab.errors import (
 )
 from cocycle_lab.labverify import (
     RandomModelSpec,
+    _choose_block_count,
     _choose_pad_count,
     _composite_norms,
+    _orbit_max_gap,
+    _padding_step,
     carleson_b1,
     carleson_parseval,
     crooked_metric,
@@ -115,28 +119,98 @@ def test_cascade_collapse_reports_step_index():
 
 
 def test_pad_count_search_runs_only_the_product_pass(monkeypatch):
-    # one block power per search and 2n padding blocks per tried n; a full
-    # padding step would build every block twice
+    # one block power per search and 2n padding blocks built per tried n; a
+    # full padding step would build every block twice
     system = cyc.ContinuumCocycle(bump_pot())
     A = system.monodromy(np.linspace(0.5, 5.5, 40))
     inner = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
     E, A = np.linspace(0.5, 5.5, 40)[inner], A[inner]
-    calls = {"padding_block": 0, "power2": 0}
+    counts = {"blocks": 0, "powers": 0}
+    padding_block, power2 = deform.padding_block, sl2.power2
 
-    def counted(mod, name):
-        fn = getattr(mod, name)
+    def counted_blocks(E, pad, MN):
+        counts["blocks"] += np.size(pad)
+        return padding_block(E, pad, MN)
 
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return fn(*args, **kw)
-        monkeypatch.setattr(mod, name, wrapper)
+    def counted_power(A, k):
+        counts["powers"] += 1
+        return power2(A, k)
 
-    counted(deform, "padding_block")
-    counted(sl2, "power2")
+    monkeypatch.setattr(deform, "padding_block", counted_blocks)
+    monkeypatch.setattr(sl2, "power2", counted_power)
     # no drift reaches 1e-12, so the search tries every n up to the cap
     n = _choose_pad_count(E, A, sl2.fixed_points2(A), 0.05, 256, 1e-12, 64)
     assert n == 64
-    assert calls == {"padding_block": 2 * (8 + 16 + 32 + 64), "power2": 1}
+    assert counts == {"blocks": 2 * (8 + 16 + 32 + 64), "powers": 1}
+
+
+def test_orbit_gaps_are_computed_in_bounded_row_blocks():
+    # 2,000 rows of 4,096 orbit points would be a 65 MB array; the row
+    # blocks keep one call's peak a small fraction of it, with the gaps of
+    # the whole sorted orbits
+    theta = np.random.default_rng(3).random(2000)
+    tracemalloc.start()
+    gaps = _orbit_max_gap(theta, 4096)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8e6
+    orbit = np.sort(np.mod(theta[:50, None] * np.arange(4096.0), 1.0), axis=1)
+    want = np.maximum(np.diff(orbit, axis=1).max(axis=1),
+                      1.0 - orbit[:, -1] + orbit[:, 0])
+    assert np.array_equal(gaps[:50], want)
+
+
+def test_padding_step_memory_is_bounded_in_blocks():
+    # 8,192 blocks of 200 energies: their points alone would take 26 MB;
+    # the chunked pass holds one chunk of blocks and points at a time and
+    # keeps the 64 strided points
+    system = cyc.ContinuumCocycle(bump_pot())
+    E = np.linspace(0.5, 5.5, 200)
+    A = system.monodromy(E)
+    u = sl2.fixed_points2(A)
+    tracemalloc.start()
+    *_, kept = _padding_step(E, A, u, 0.05, 4, 4096, 1e-3, 128)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert kept.shape == (64, 200)
+    assert peak < 8e6
+
+
+def test_padding_step_matches_double_double_reference():
+    # one padding step on v0 at grid 100, N and n chosen as the cascade
+    # chooses them, against the sequential double-double product of the same
+    # blocks scaled to determinant one once, at the end: the fixed point u'
+    # and the excursion distance max_m d(B_m u', u) agree within 1e-9 on
+    # every row the step keeps
+    pot = load_descriptor(os.path.join(DESCRIPTORS, "v0.json"))
+    delta, kappa = 0.05, 1e-3
+    E = 6.0 * (np.arange(100) + 0.5) / 100
+    A = cyc.ContinuumCocycle(pot).monodromy(E)
+    inner = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
+    E, A = E[inner], A[inner]
+    u = sl2.fixed_points2(A)
+    big_n, _ = _choose_block_count(sl2.rotation_angles2(A), 256, 4096)
+    n = _choose_pad_count(E[::8], A[::8], u[::8], delta, big_n, kappa, 4096)
+    _, u_next, alive, epsilon, _ = _padding_step(E, A, u, delta, big_n, n,
+                                                 kappa, 2 * n)
+    apow = sl2.power2(A, big_n)
+    acc = (np.broadcast_to(np.eye(2), A.shape).copy(), np.zeros(A.shape))
+    prefixes = []
+    for L in deform.PaddingSpec(delta, big_n, n).pad_lengths():
+        prefixes.append(acc[0])
+        block = deform.padding_block(E, L, apow)
+        acc = sl2._dd_matmul((block, np.zeros(A.shape)), acc)
+    ref = sl2.renorm2(acc[0])
+    u_ref = sl2.fixed_points2(ref)
+    with np.errstate(invalid="ignore"):
+        elliptic = np.abs(sl2.tr2(ref)) < 2.0 - 1e-9
+        d_ref = np.max([sl2.hyp_dist2(sl2.moebius2(B, u_ref), u)
+                        for B in prefixes], axis=0)
+    assert (big_n, n, len(E)) == (4096, 1024, 84)
+    assert np.all(elliptic[alive]) and alive.sum() > len(E) // 2
+    assert np.max(sl2.hyp_dist2(u_next[alive], u_ref[alive])) < 1e-9
+    d = 2.0 * np.arcsinh(epsilon / 2.0)
+    assert np.max(np.abs(d[alive] - d_ref[alive])) < 1e-9
 
 
 def test_cascade_report_is_deterministic():

@@ -313,6 +313,25 @@ def test_pure_cover_is_not_mixed(N, starts, search_grid):
     assert all(r.v_measure == 0.0 for r in report.per_j)
 
 
+def test_lag_cells_keep_the_strict_window():
+    # a lag exactly 1/(2N) from a target is within 1/(2N) of no target, so
+    # it is in neither the in-phase mask nor a shifted one
+    N = 4
+    edges = (np.arange(N) + 0.5) / N
+    assert np.all(sol._lag_cells(edges, N) == -1)
+    assert np.all(sol._lag_cells(np.nextafter(edges, 0.0), N) == np.arange(N))
+    assert np.all(sol._lag_cells(np.nextafter(edges, 1.0), N)
+                  == (np.arange(N) + 1) % N)
+    # elsewhere a lag is in the cell of target c exactly when its circular
+    # distance to c / N is below 1/(2N)
+    lag = np.random.default_rng(5).random(4096)
+    for N in (1, 2, 3, 7):
+        cells = sol._lag_cells(lag, N)
+        for c in range(N):
+            near = np.abs(np.mod(lag - c / N + 0.5, 1.0) - 0.5) < 0.5 / N
+            assert np.array_equal(cells == c, near)
+
+
 # -- stacked realizations ---------------------------------------------------
 
 
