@@ -200,6 +200,8 @@ def free_block(E, length):
     cos(w L) and sin(w L)/w with w = sqrt(E); negative and complex E
     follow by analytic continuation.  E and length broadcast together.
     The stack is a view of _free_planes' planes, the one gap exponential.
+
+    Oracle for the gap exponential of _free_planes; checked by TestFreeBlock.
     """
     return np.moveaxis(_free_planes(E, length), (0, 1), (-2, -1))
 

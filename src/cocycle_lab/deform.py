@@ -6,9 +6,11 @@ block j of 2n blocks of N periods by delta sin^(2N)(pi j / 2n) (the growth
 cascade); a ``UniformPadding`` pads the last n of 2n periods by delta (the
 mixing stages of towers).  The padded monodromy factors into padding
 blocks (a free propagator over the pad times a power of the original
-monodromy); ``padding_chunks`` builds them one chunk of pads per call,
-``padding_product`` multiplies them without renormalizing, and the closed
-forms below are test oracles for that factorization.
+monodromy).  ``padding_chunks`` builds them as (2, 2, pads, ...) planes,
+one chunk of a fixed number of pads per call, so an energy's bits do not
+depend on the energies beside it; ``padding_product`` multiplies them on
+those planes without renormalizing, and the closed forms below are test
+oracles for that factorization.
 
 Discrete side: symbolic family operators (repeat, twist, slide,
 sampling) rewrite a family of integer-period potentials; everything
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sl2
-from .cocycle import ContinuumCocycle, free_block
+from .cocycle import ContinuumCocycle, _free_planes
 from .errors import (
     DomainError,
     NotEllipticError,
@@ -49,7 +51,9 @@ from .potentials import (
     Gap,
 )
 
-_CHUNK_BLOCKS = 2**15  # blocks (pads x matrices of MN) per chunk of padding_chunks
+# pads per chunk of padding_chunks, whatever the energies: a chunk's product
+# is associated the same way for an energy alone and in any batch
+_CHUNK_PADS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -133,36 +137,45 @@ def pad(pot: ContinuumPotential,
     )
 
 
+def _block_planes(E, pad, MN) -> np.ndarray:
+    """Padding blocks [free propagator over the pad] . MN as (2, 2, ...)
+    planes: one _free_planes call and one sl2.mul_planes (mul2's bits)."""
+    shape = np.broadcast_shapes(np.shape(E), np.shape(pad), np.shape(MN)[:-2])
+    F = _free_planes(E, np.broadcast_to(pad, shape))
+    B = np.moveaxis(np.broadcast_to(MN, shape + (2, 2)), (-2, -1), (0, 1))
+    return sl2.mul_planes(F, B, np.empty(F.shape, np.result_type(F, B)))
+
+
 def padding_block(E, pad, MN) -> np.ndarray:
     """Padding block [free propagator over the pad] . MN, shape (..., 2, 2).
 
     MN is the block of N base monodromies; E and pad broadcast against
     its stack.
     """
-    return sl2.mul2(free_block(E, pad), MN)
+    return np.moveaxis(_block_planes(E, pad, MN), (0, 1), (-2, -1))
 
 
 def padding_chunks(E, pads, MN):
-    """Yield the padding blocks of the pads in order, as (chunk, ..., 2, 2)
-    stacks of padding_block(E, pad, MN) over consecutive chunks of at most
-    _CHUNK_BLOCKS // (matrices in MN) pads."""
-    size = max(1, 4 * _CHUNK_BLOCKS // np.size(MN))
+    """Yield the padding blocks of the pads in order, as (2, 2, chunk, ...)
+    planes of padding_block(E, pad, MN) over consecutive chunks of
+    _CHUNK_PADS pads."""
     pads = np.reshape(pads, (-1,) + (1,) * (np.ndim(MN) - 2))
-    for i in range(0, len(pads), size):
-        yield padding_block(E, pads[i:i + size], MN)
+    for i in range(0, len(pads), _CHUNK_PADS):
+        yield _block_planes(E, pads[i:i + _CHUNK_PADS], MN)
 
 
 def padding_product(E, pads, MN):
     """(product, elliptic): the product of the padding blocks of the pads,
     the last leftmost, and whether every block has |trace| < 2.  Each chunk
     is multiplied by sl2.plane_product and the running product is carried
-    across chunks; nothing is renormalized."""
-    product, elliptic = np.eye(2), True
+    across chunks as planes; nothing is renormalized."""
+    product, elliptic = None, True
     for blocks in padding_chunks(E, pads, MN):
-        elliptic = elliptic & np.all(np.abs(sl2.tr2(blocks)) < 2.0, axis=0)
-        chunk = sl2.plane_product(np.moveaxis(blocks, (-2, -1), (0, 1)))
-        product = sl2.mul2(np.moveaxis(chunk, (0, 1), (-2, -1)), product)
-    return product, elliptic
+        elliptic = elliptic & np.all(np.abs(blocks[0, 0] + blocks[1, 1]) < 2.0, axis=0)
+        chunk = sl2.plane_product(blocks)
+        product = chunk if product is None else sl2.mul_planes(chunk, product,
+                                                               np.empty_like(chunk))
+    return np.moveaxis(product, (0, 1), (-2, -1)), elliptic
 
 
 def padded_block_matrix(base: ContinuumCocycle, E: float, spec: PaddingSpec,

@@ -45,10 +45,6 @@ __all__ = [
     "growth_minimax",
 ]
 
-# elliptic placeholder for excluded rows, keeps batch operations tame
-_SAFE_ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
 # ---------------------------------------------------------------------------
 # small shared helpers
 # ---------------------------------------------------------------------------
@@ -71,11 +67,6 @@ def _orbit_max_gap(theta, count):
         inner = np.diff(orbit, axis=1).max(axis=1) if count > 1 else np.ones(len(rows))
         return np.maximum(inner, 1.0 - orbit[:, -1] + orbit[:, 0])
     return cyc._chunked(np.asarray(theta, dtype=float), max(1, _ORBIT_ELEMENTS // count), gaps)
-
-
-def _dist_to_base(u):
-    """Hyperbolic distance from each upper-half-plane point to i."""
-    return sl2.hyp_dist2(u, np.full(np.shape(u), 1j))
 
 
 # ---------------------------------------------------------------------------
@@ -161,40 +152,39 @@ def _padded_product(E, apow, pads, u):
         acc = sl2.renorm2(acc)
         alive &= np.abs(sl2.tr2(acc)) < 2.0 - 1e-9
         u_next = sl2.fixed_points2(acc)
-        drift = sl2.hyp_dist2(np.where(alive, u_next, 1j), np.where(alive, u, 1j))
+        drift = sl2.hyp_dist2(u_next, u)
     return acc, u_next, alive & np.isfinite(drift), drift
 
 
 def _padding_step(E, A, u, delta, big_n, n, kappa, stride):
-    """One padding step on raw monodromies.
+    """One padding step on raw monodromies, row by row: each row's outputs
+    are the same bits whatever other rows share the call.
 
     Returns (A_next, u_next, alive, epsilon, kept) where alive flags the
     rows that stayed elliptic factor by factor with fixed-point drift
     below kappa, epsilon is the block-boundary excursion proxy
     2 sinh(max_m d(B_m u', u) / 2), and kept stacks the points B_m u' of
-    every stride-th block index m (for time averaging).
+    every stride-th block index m (for time averaging).  u_next, epsilon
+    and kept mean something only on the alive rows.
 
     The excursion pass needs u', the fixed point of the whole product, so it
-    builds the blocks again and carries z_m = B_m u', one Moebius map a block.
+    builds the blocks again, one chunk of planes at a time, and carries
+    z_m = B_m u', one Moebius map a block.
     """
     pads = deform.PaddingSpec(delta, big_n, n).pad_lengths()
     apow = sl2.power2(A, big_n)
     a_next, u_next, alive, drift = _padded_product(E, apow, pads, u)
     alive &= drift < kappa
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        u_next = np.where(alive, u_next, np.nan * (1 + 1j))
-        z = np.where(alive, u_next, 1j)
-        base_u = np.where(alive, u, 1j)
-        dmax, kept, m = np.zeros(len(E)), [], 0
+        z, dmax, kept, m = u_next, np.zeros(len(E)), [], 0
         for blocks in deform.padding_chunks(E, pads, apow):
-            points = np.empty(blocks.shape[:-2], dtype=complex)
-            for i, block in enumerate(blocks):
+            points = np.empty(blocks.shape[2:], dtype=complex)
+            for i, block in enumerate(np.moveaxis(blocks, (0, 1), (-2, -1))):
                 points[i], z = z, sl2.moebius2(block, z)
-            dmax = np.maximum(dmax, sl2.hyp_dist2(points, base_u).max(axis=0))
+            dmax = np.maximum(dmax, sl2.hyp_dist2(points, u).max(axis=0))
             kept.append(points[-m % stride::stride].copy())  # a view keeps all points
-            m += len(blocks)
-    epsilon = np.where(alive, 2.0 * np.sinh(dmax / 2.0), 0.0)
-    return a_next, u_next, alive, epsilon, np.concatenate(kept)
+            m += len(points)
+    return a_next, u_next, alive, 2.0 * np.sinh(dmax / 2.0), np.concatenate(kept)
 
 
 def _choose_pad_count(E, A, u, delta, big_n, kappa, cap):
@@ -221,7 +211,7 @@ def _stratified_average(A_prev, big_n, kept, prefix_frac):
             apk = sl2.power2(A_prev, k)
             for f in range(prefix_frac.shape[1]):
                 pre = sl2.mul2(prefix_frac[:, f], apk)
-                total += _dist_to_base(sl2.moebius2(pre, kept)).sum(axis=0)
+                total += sl2.hyp_dist2(sl2.moebius2(pre, kept), 1j).sum(axis=0)
     return total / (len(k_samples) * prefix_frac.shape[1] * len(kept))
 
 
@@ -245,53 +235,53 @@ def run_lemma22(
     gap propagators of slowly modulated lengths, and tracks per energy:
     ellipticity of every factor, fixed-point drift below kappa, excursion
     proxies at block boundaries, and a stratified time-average of the
-    distance to the base point.  Stops after P steps (default floor(xi /
-    delta)).  Raises a pipeline-collapse error if a step excludes every
-    remaining energy.
+    distance to the base point.  A step runs on its live rows only, the
+    energies elliptic at the start and kept by every earlier step, and
+    scatters what it finds into the full grid.  Stops after P steps
+    (default floor(xi / delta)); P below 1 is a validation error.  Raises a
+    pipeline-collapse error if a step excludes every remaining energy.
     """
     if delta < 0:
         raise DomainError("pad scale must be nonnegative")
-    if delta > 0 and P is None:
-        P = int(math.floor(xi / delta))
-    elif P is None:
-        P = 4
+    if P is None:
+        P = int(math.floor(xi / delta)) if delta > 0 else 4
+    if P < 1:
+        raise ValidationError(f"P = {P} leaves no padding step (xi = {xi!r}, "
+                              f"delta = {delta!r}; P defaults to floor(xi / delta))")
     system = cyc.ContinuumCocycle(pot)
     energies = M * (np.arange(energy_grid) + 0.5) / energy_grid
     frac = (np.arange(_FRAC_SAMPLES) + 0.5) / _FRAC_SAMPLES
     prefix_frac, A = system._grid_and_monodromy(energies, frac * system.period)
-    elliptic = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
-    if not np.any(elliptic):
+    live = np.flatnonzero(np.abs(sl2.tr2(A)) < 2.0 - 1e-9)
+    if not live.size:
         raise PipelineCollapseError(0, "no elliptic energies on the grid")
-    A = np.where(elliptic[:, None, None], A, _SAFE_ROT)
-    u = np.where(elliptic, sl2.fixed_points2(A), 1j)
+    A = A[live]
+    u = sl2.fixed_points2(A)
 
-    base_avg = np.where(elliptic, _stratified_average(A, 1, u[None], prefix_frac), np.nan)
+    base_avg = np.full(energy_grid, np.nan)
+    base_avg[live] = _stratified_average(A, 1, u[None], prefix_frac[live])
     c_step0 = float(np.nanmax(base_avg))
 
-    alive = elliptic.copy()
-    initial = int(alive.sum())
-    avg = base_avg.copy()
+    initial = live.size
     growth_log = np.zeros(energy_grid)
     steps = []
-    f_first = None
 
     for step in range(1, P + 1):
+        E = energies[live]
         theta = sl2.rotation_angles2(A)
-        big_n, gaps = _choose_block_count(theta[alive], n_start, n_cap)
-        dense = alive.copy()
-        if delta > 0:
-            dense[alive] = gaps < _DENSE_GAP
-        sub = slice(None, None, 8)
+        big_n, gaps = _choose_block_count(theta, n_start, n_cap)
         n = _choose_pad_count(
-            energies[alive][sub], A[alive][sub], u[alive][sub],
-            delta, big_n, kappa, pad_cap,
+            E[::8], A[::8], u[::8], delta, big_n, kappa, pad_cap,
         ) if delta > 0 else 2
         stride = max(1, (2 * n) // _AVG_BLOCKS)
         a_next, u_next, ok, epsilon, kept = _padding_step(
-            energies, A, u, delta, big_n, n, kappa, stride
+            E, A, u, delta, big_n, n, kappa, stride
         )
-        ok &= alive & dense
-        excluded = int(alive.sum()) - int(ok.sum())
+        if delta > 0:
+            ok &= gaps < _DENSE_GAP
+        if not ok.any():
+            raise PipelineCollapseError(step, "all energies excluded")
+        excluded = live.size - int(ok.sum())
         gamma = _dist_to_int(2.0 * big_n * theta)
         window = ok & (gamma > 2.0 * delta) & (gamma < 0.25)
         scaled = (
@@ -304,13 +294,15 @@ def run_lemma22(
         for level in _GAMMA_LEVELS:
             if delta > 0 and np.isfinite(kbar) and kbar > 0:
                 threshold = 6.0 * kbar * delta / (math.pi * level)
-                frac_ev = float(np.mean(epsilon[ok] >= threshold)) if ok.any() else 0.0
+                frac_ev = float(np.mean(epsilon[ok] >= threshold))
             else:
                 frac_ev = 0.0
             events[f"{level:g}"] = {"fraction": frac_ev, "predicted": level / 3.0}
-        avg_next = _stratified_average(A, big_n, kept, prefix_frac)
-        avg = np.where(ok, avg_next, np.nan)
-        growth_log = np.where(ok, growth_log + np.arcsinh(epsilon / 2.0), growth_log)
+        next_live = live[ok]
+        avg = np.full(energy_grid, np.nan)
+        avg[next_live] = _stratified_average(A[ok], big_n, kept[:, ok],
+                                             prefix_frac[next_live])
+        growth_log[next_live] += np.arcsinh(epsilon[ok] / 2.0)
         steps.append(
             {
                 "step": step,
@@ -320,23 +312,15 @@ def run_lemma22(
                 "excluded_fraction": excluded / initial,
                 "kbar": kbar,
                 "growth_events": events,
-                "median_drift": float(
-                    np.median(sl2.hyp_dist2(u_next[ok], u[ok]))
-                ) if ok.any() else float("nan"),
-                "max_average": float(np.nanmax(avg)) if ok.any() else float("nan"),
+                "median_drift": float(np.median(sl2.hyp_dist2(u_next[ok], u[ok]))),
+                "max_average": float(np.nanmax(avg)),
             }
         )
-        if f_first is None:
-            f_first = excluded / initial
-        if not ok.any():
-            raise PipelineCollapseError(step, "all energies excluded")
-        A = np.where(ok[:, None, None], a_next, _SAFE_ROT)
-        u = np.where(ok, u_next, 1j)
-        alive = ok
+        live, A, u = next_live, a_next[ok], u_next[ok]
 
-    cprime_fit = f_first / (2.0 * delta) if delta > 0 else 0.0
-    sup_frac = float(np.mean(np.exp(growth_log[alive]) >= C0)) if alive.any() else 0.0
-    gain = np.nanmax(avg - base_avg) if alive.any() else float("nan")
+    retained = np.zeros(energy_grid, dtype=bool)
+    retained[live] = True
+    cprime_fit = steps[0]["excluded_fraction"] / (2.0 * delta) if delta > 0 else 0.0
     report = Lemma22Report(
         delta=delta,
         xi=xi,
@@ -348,14 +332,14 @@ def run_lemma22(
         measure_band=2.0 / energy_grid,
         c_step0=c_step0,
         cprime_fit=cprime_fit,
-        retained_fraction=float(alive.sum()) / initial,
-        sup_ge_C0_fraction=sup_frac,
-        max_average_gain=float(gain),
+        retained_fraction=live.size / initial,
+        sup_ge_C0_fraction=float(np.mean(np.exp(growth_log[live]) >= C0)),
+        max_average_gain=float(np.nanmax(avg - base_avg)),
         steps=steps,
         averages=avg,
         base_averages=base_avg,
         energies=energies,
-        retained=alive,
+        retained=retained,
     )
     return report.validate()
 
@@ -441,10 +425,8 @@ def run_asd12(
         mono0 = np.stack([cyc.DiscreteCocycle(family.slice(float(t))).monodromy(energies)
                           for t in ts])
         ell0 = np.abs(sl2.tr2(mono0)) < 2.0 - 1e-9
-        u_grid = sl2.fixed_points2(np.where(ell[..., None, None], mono, _SAFE_ROT))
-        u0_grid = sl2.fixed_points2(np.where(ell0[..., None, None], mono0, _SAFE_ROT))
-        u_grid = np.where(ell, u_grid, np.nan * (1 + 1j))
-        u0_grid = np.where(ell0, u0_grid, np.nan * (1 + 1j))
+        u_grid = np.where(ell, sl2.fixed_points2(mono), np.nan * (1 + 1j))
+        u0_grid = np.where(ell0, sl2.fixed_points2(mono0), np.nan * (1 + 1j))
     sup_log = np.log(sup)
     ell_grid = ell & ell0
 
@@ -467,10 +449,8 @@ def run_asd12(
         c1_close = c0_close + np.nanmax(
             np.where(ell_grid[:-1] & ell_grid[1:], vel, np.nan), axis=0
         )
-        avg_dist = np.nanmean(
-            np.where(ell_grid, _dist_to_base(np.where(ell_grid, u_grid, 1j)), np.nan),
-            axis=0,
-        )
+        avg_dist = np.nanmean(np.where(ell_grid, sl2.hyp_dist2(u_grid, 1j), np.nan),
+                              axis=0)
 
     inf_sup = np.min(sup_log, axis=0)
     block_sup = np.log(np.max(block_norms, axis=0))
@@ -776,7 +756,7 @@ def crooked_metric(
 
     def basepoint_fraction(z):
         # nan on the non-elliptic rows, which then fail
-        dists = _dist_to_base(z)
+        dists = sl2.hyp_dist2(z, 1j)
         cut = np.max(dists, axis=1) - 2.0 * math.log(C1) + 1e-12
         frac = np.mean(dists[:, ::stride] <= cut[:, None], axis=1)
         return np.where(np.isnan(z[:, 0]), np.nan, frac)

@@ -178,7 +178,7 @@ class NormalFormLadder:
         if not np.all(np.isfinite(tr)) or np.max(np.abs(tr)) >= 2.0 - _MARGIN:
             raise NormalFormBreakdownError(m, "stage left the elliptic region")
         u = sl2.fixed_points2(A)
-        d = sl2.hyp_dist2(u, np.full(u.shape, 1j))
+        d = sl2.hyp_dist2(u, 1j)
         return float(np.max(d))
 
     def frame_drift(self, m: int) -> float:

@@ -308,6 +308,19 @@ def test_out_of_range_integer_options_are_usage_errors(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("xi", ["0.01", "-0.1"])
+def test_xi_below_delta_is_a_usage_error(tmp_path, capsys, xi):
+    # P = floor(xi / delta) < 1 leaves no padding step; this raised a
+    # TypeError and exited 1 with a traceback
+    out = tmp_path / "x"
+    argv = ["verify", "lemma22", "--potential", desc("v0.json"), "--xi", xi]
+    assert dispatch(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"xi = {float(xi)!r}" in err
+    assert "delta = 0.05" in err
+    assert not out.exists()
+
+
 def test_domain_failure_exits_one(tmp_path, capsys):
     # composite pipeline collapse: the window sits inside a spectral gap
     rc = dispatch(["verify", "asd12", "--family", desc("cos2.json"),

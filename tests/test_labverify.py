@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_lab import cocycle as cyc
-from cocycle_lab import deform, sl2
+from cocycle_lab import deform, labverify, sl2
 from cocycle_lab.cli import load_descriptor
 from cocycle_lab.errors import (
     DomainError,
@@ -119,24 +119,25 @@ def test_cascade_collapse_reports_step_index():
 
 
 def test_pad_count_search_runs_only_the_product_pass(monkeypatch):
-    # one block power per search and 2n padding blocks built per tried n; a
-    # full padding step would build every block twice
+    # one block power per search and 2n padding blocks built per tried n, all
+    # by the one block builder; a full padding step would build every block
+    # twice
     system = cyc.ContinuumCocycle(bump_pot())
     A = system.monodromy(np.linspace(0.5, 5.5, 40))
     inner = np.abs(sl2.tr2(A)) < 2.0 - 1e-9
     E, A = np.linspace(0.5, 5.5, 40)[inner], A[inner]
     counts = {"blocks": 0, "powers": 0}
-    padding_block, power2 = deform.padding_block, sl2.power2
+    block_planes, power2 = deform._block_planes, sl2.power2
 
     def counted_blocks(E, pad, MN):
         counts["blocks"] += np.size(pad)
-        return padding_block(E, pad, MN)
+        return block_planes(E, pad, MN)
 
     def counted_power(A, k):
         counts["powers"] += 1
         return power2(A, k)
 
-    monkeypatch.setattr(deform, "padding_block", counted_blocks)
+    monkeypatch.setattr(deform, "_block_planes", counted_blocks)
     monkeypatch.setattr(sl2, "power2", counted_power)
     # no drift reaches 1e-12, so the search tries every n up to the cap
     n = _choose_pad_count(E, A, sl2.fixed_points2(A), 0.05, 256, 1e-12, 64)
@@ -174,6 +175,37 @@ def test_padding_step_memory_is_bounded_in_blocks():
     tracemalloc.stop()
     assert kept.shape == (64, 200)
     assert peak < 8e6
+
+
+def test_padding_step_rows_do_not_depend_on_the_batch(monkeypatch):
+    # a padding step on every third row gives those rows of the step on all
+    # rows, bit for bit, and the pad-count search's drift on its subsample
+    # is the step's drift on the same rows; 512 pads span several chunks, so
+    # a chunk size that counted energies would cut the two calls differently
+    system = cyc.ContinuumCocycle(bump_pot())
+    E = np.linspace(0.5, 5.5, 200)
+    A = system.monodromy(E)
+    u = sl2.fixed_points2(A)
+    drifts = []
+    padded_product = labverify._padded_product
+
+    def recorded(*args):
+        out = padded_product(*args)
+        drifts.append(out[3])
+        return out
+
+    monkeypatch.setattr(labverify, "_padded_product", recorded)
+    # no drift reaches 1e-12, so the search ends at its cap, n = 256
+    n = _choose_pad_count(E[::8], A[::8], u[::8], 0.05, 4, 1e-12, 256)
+    search_drift = drifts[-1]
+    full = _padding_step(E, A, u, 0.05, 4, n, 1e-3, 8)
+    step_drift = drifts[-1]
+    part = _padding_step(E[::3], A[::3], u[::3], 0.05, 4, n, 1e-3, 8)
+    assert n == 256 and full[2].sum() > 100
+    for whole, rows in zip(full[:4], part[:4]):
+        np.testing.assert_array_equal(whole[::3], rows)
+    np.testing.assert_array_equal(full[4][:, ::3], part[4])
+    np.testing.assert_array_equal(step_drift[::8], search_drift)
 
 
 def test_padding_step_matches_double_double_reference():
